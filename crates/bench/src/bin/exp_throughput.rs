@@ -68,7 +68,7 @@ fn main() {
         // The production hot path: batched ingestion through the shared
         // fingerprint block (DESIGN.md §12), attributed per phase —
         // hash+mix, lane rejection, sketch updates — by the estimator's
-        // own time ledger (DESIGN.md §15), so these are the exact
+        // own ledger's ns column (DESIGN.md §13), so these are the exact
         // numbers `maxkcov prof --time` reports. Best of three runs:
         // the regression gate compares against a committed baseline, so
         // one slow-scheduled pass must not read as a fake regression.

@@ -90,8 +90,8 @@ fn main() {
     }
 
     // Estimator hot path, per phase: hash+mix / lane reject / sketch
-    // update, attributed by the time ledger over one full batched
-    // ingest (DESIGN.md §12/§15).
+    // update, attributed by the ledger's ns column over one full batched
+    // ingest (DESIGN.md §12/§13).
     let (n, m, k, alpha) = (20_000usize, 2_000usize, 64usize, 8.0f64);
     let system = kcov_stream::gen::uniform_fixed_size(n, m, 60, 1);
     let edges = kcov_stream::edge_stream(&system, kcov_stream::ArrivalOrder::Shuffled(9));

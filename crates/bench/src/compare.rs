@@ -22,7 +22,7 @@
 //!   leaves present in both documents, the *shares* of those sibling
 //!   phases are gated: absolute timings are host noise, yet how a
 //!   fixed workload's wall clock splits across phases is a property of
-//!   the code (the time ledger's attribution, DESIGN.md §15). A leaf's
+//!   the code (the ledger's ns attribution, DESIGN.md §13). A leaf's
 //!   fraction of its group total may not grow more than `tolerance`
 //!   (absolute share points) above baseline,
 //! * every other leaf is **identity** (workload shape: `n`, `m`, `k`,

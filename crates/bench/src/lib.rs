@@ -99,17 +99,17 @@ pub fn coarse_config(seed: u64, n: usize, reps: usize) -> kcov_core::EstimatorCo
 }
 
 /// Per-phase cost breakdown of the estimator's batched hot path over a
-/// prepared stream (see DESIGN.md §12/§15): a *single* timed ingest,
-/// attributed post-hoc by the estimator's own time ledger
-/// ([`kcov_core::MaxCoverEstimator::time_ledger_tree`]) instead of the
+/// prepared stream (see DESIGN.md §12/§13): a *single* timed ingest,
+/// attributed post-hoc by the `ns` column of the estimator's own ledger
+/// ([`kcov_core::MaxCoverEstimator::space_ledger_tree`]) instead of the
 /// old re-run-each-phase pricing, so no phase is ever paid twice and
 /// the breakdown is exactly the one `maxkcov prof --time` reports.
 ///
 /// * `hash_ns` — shared per-batch preprocessing: fingerprint-column
 ///   fill (the only place raw ids are hashed) plus the universe mix
-///   (the `fingerprints` and `universe` ledger leaves).
+///   (the `fingerprints` and `universe` ledger subtrees).
 /// * `lane_reject_ns` — every lane's universe reduction (the
-///   `lane*/reducer` leaves): the work spent deciding an edge does
+///   `lane*/reducer` subtrees): the work spent deciding an edge does
 ///   *not* reach a sketch.
 /// * `sketch_update_ns` — the lanes' oracle subtrees: admission gates
 ///   plus sketch updates for surviving edges.
@@ -128,28 +128,18 @@ pub struct HotPathBreakdown {
     pub total_ns: u64,
 }
 
-/// Split a time ledger into the three hot-path phases: shared
-/// preprocessing leaves, per-lane `reducer` leaves, and everything else
-/// under each lane (the oracle subtree, including any direct ns parked
-/// on the lane node by the bare-leaf apportion fallback).
-fn ledger_phases(ledger: &kcov_obs::TimeLedger) -> (u64, u64, u64) {
-    let root = &ledger.root;
-    let hash = root.get("fingerprints").map_or(0, |n| n.total_ns())
-        + root.get("universe").map_or(0, |n| n.total_ns());
+/// Split a ledger's `ns` column into the three hot-path phases, from
+/// subtree totals: the shared preprocessing subtrees, the per-lane
+/// `reducer` subtrees, and the rest of each lane (the oracle).
+fn ledger_phases(ledger: &kcov_obs::Ledger) -> (u64, u64, u64) {
+    let total = |path: &str| ledger.root.at(path).map_or(0, kcov_obs::LedgerNode::total_ns);
+    let hash = total("fingerprints") + total("universe");
     let mut reject = 0u64;
     let mut update = 0u64;
-    for (name, lane) in root.children() {
-        if !name.starts_with("lane") {
-            continue;
-        }
-        update += lane.ns;
-        for (child, node) in lane.children() {
-            if child == "reducer" {
-                reject += node.total_ns();
-            } else {
-                update += node.total_ns();
-            }
-        }
+    for (name, lane) in ledger.root.children().filter(|(n, _)| n.starts_with("lane")) {
+        let r = total(&format!("{name}/reducer"));
+        reject += r;
+        update += lane.total_ns() - r;
     }
     (hash, reject, update)
 }
@@ -169,7 +159,7 @@ pub fn hot_path_breakdown(
         est.fingerprints().is_some(),
         "hot-path breakdown needs a non-trivial estimator"
     );
-    let (hash0, reject0, update0) = ledger_phases(&est.time_ledger_tree());
+    let (hash0, reject0, update0) = ledger_phases(&est.space_ledger_tree());
     let rec = kcov_obs::Recorder::enabled();
     est.attach_recorder(&rec);
     let t = Instant::now();
@@ -178,7 +168,7 @@ pub fn hot_path_breakdown(
     }
     let total_ns = t.elapsed().as_nanos() as u64;
     est.attach_recorder(&kcov_obs::Recorder::disabled());
-    let (hash, reject, update) = ledger_phases(&est.time_ledger_tree());
+    let (hash, reject, update) = ledger_phases(&est.space_ledger_tree());
     HotPathBreakdown {
         hash_ns: hash.saturating_sub(hash0),
         lane_reject_ns: reject.saturating_sub(reject0),

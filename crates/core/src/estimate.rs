@@ -13,9 +13,7 @@
 
 use std::time::Instant;
 
-use kcov_obs::{
-    apportion_by_heat, LedgerNode, Recorder, SketchStats, SpaceLedger, TimeLedger, Value,
-};
+use kcov_obs::{Ledger, LedgerNode, Recorder, SketchStats, Value};
 use kcov_sketch::SpaceUsage;
 use kcov_stream::Edge;
 
@@ -129,7 +127,7 @@ struct Lane {
     z: u64,
     reducer: UniverseReducer,
     oracle: Oracle,
-    /// Batch-granular wall totals for the time-attribution ledger
+    /// Batch-granular wall totals for the ledger's `ns` column
     /// (plain replica-local data; only the owning worker writes it).
     times: LaneTimes,
 }
@@ -331,7 +329,7 @@ pub struct MaxCoverEstimator {
     last_stats: SketchStats,
     /// Batch-granular wall totals for the lane-invariant stages
     /// (fingerprint fill, universe mix, trivial branch) — the
-    /// stage-level raw material of the time-attribution ledger.
+    /// stage-level raw material of the ledger's `ns` column.
     times: StageTimes,
 }
 
@@ -887,50 +885,39 @@ impl MaxCoverEstimator {
         rec.gauge("space_words", outcome.space_words as f64);
         rec.incr("edges.total", self.edges_seen);
         rec.incr("lanes.total", self.lanes.len() as u64);
-        // Space-attribution ledger, emitted after every pre-existing
-        // event so their sequence numbers are untouched. The exact-sum
-        // invariant is the ledger's finalize contract (DESIGN.md §13):
-        // a word the tree misses (or double-counts) is a bug, not a
-        // rounding artifact.
+        // Attribution ledger, emitted after every pre-existing event so
+        // their sequence numbers are untouched. Its finalize contract
+        // (DESIGN.md §13): leaves-only attribution (audited), the exact
+        // word sum — a word the tree misses (or double-counts) is a bug,
+        // not a rounding artifact — and ns conservation: the apportioned
+        // total can never exceed the measured batch wall clock times the
+        // worker-thread count, because every attributed interval nests
+        // inside a batch interval and at most `threads` lanes overlap.
         let ledger = self.space_ledger_tree();
         assert!(
             ledger.audit().is_empty(),
-            "space ledger schema violations: {:?}",
+            "ledger schema violations: {:?}",
             ledger.audit()
         );
         assert_eq!(
             ledger.total_words(),
             outcome.space_words as u64,
-            "space ledger must attribute every resident word exactly"
+            "ledger must attribute every resident word exactly"
         );
-        ledger.emit(rec);
-        // Time-attribution ledger (DESIGN.md §15). Its finalize
-        // contract: leaves-only attribution (audited) and ns
-        // conservation — the apportioned total can never exceed the
-        // measured batch wall-clock times the worker-thread count,
-        // because every attributed interval nests inside a batch
-        // interval and at most `threads` lanes overlap.
-        let times = self.time_ledger_tree();
-        assert!(
-            times.audit().is_empty(),
-            "time ledger schema violations: {:?}",
-            times.audit()
-        );
+        let ns = ledger.total_ns();
         let budget = self.hists.batch_ns.sum().saturating_mul(self.threads.max(1) as u64);
         assert!(
-            times.total_ns() <= budget,
-            "time ledger attributes {} ns against a wall budget of {} ns",
-            times.total_ns(),
-            budget
+            ns <= budget,
+            "ledger attributes {ns} ns against a wall budget of {budget} ns"
         );
-        times.emit(rec);
+        ledger.emit(rec);
         rec.event(
             "time_ledger_meta",
             &[
                 ("stage", Value::from("estimate")),
-                ("root", Value::from(times.name())),
+                ("root", Value::from(ledger.name())),
                 ("threads", Value::from(self.threads.max(1) as u64)),
-                ("ns", Value::from(times.total_ns())),
+                ("ns", Value::from(ns)),
             ],
         );
     }
@@ -1049,55 +1036,41 @@ impl MaxCoverEstimator {
         (self.n, self.m, self.k, self.alpha)
     }
 
-    /// Build the space-attribution ledger for the current state: a tree
+    /// Build the attribution ledger for the current state: a tree
     /// rooted at `"estimator"` attributing every resident word to a
     /// `lane{i}/subroutine/component` path, with per-component heat
-    /// counters (DESIGN.md §13). The finalize invariant — Σ leaf words
-    /// == [`SpaceUsage::space_words`] exactly — holds at any point, not
-    /// just at finalize, because both walk the same structures.
-    pub fn space_ledger_tree(&self) -> SpaceLedger {
-        let mut ledger = SpaceLedger::new("estimator");
+    /// counters and the batch-granular wall time apportioned onto the
+    /// same leaves by that heat (DESIGN.md §13). The finalize invariant
+    /// — Σ leaf words == [`SpaceUsage::space_words`] exactly — holds at
+    /// any point, not just at finalize, because both walk the same
+    /// structures. The `ns` column is recomputed from the merged totals,
+    /// so Σ shard ns == merged ns exactly; it is all-zero when the
+    /// recorder was disabled or ingestion went through the per-edge
+    /// path, which records no time.
+    pub fn space_ledger_tree(&self) -> Ledger {
+        let mut ledger = Ledger::new("estimator");
         self.space_ledger(&mut ledger.root);
         ledger
     }
+}
 
-    /// Build the time-attribution ledger for the current state: a tree
-    /// rooted at `"estimator"` whose *paths mirror the space ledger's*
-    /// (`trivial`, `fingerprints`, the shared `universe` mix, per-lane
-    /// `reducer` plus the oracle's subroutine/sketch subtree) and whose
-    /// leaf values are the batch-granular wall totals, apportioned onto
-    /// sketch leaves by the space ledger's heat counters
-    /// ([`apportion_by_heat`], DESIGN.md §15).
-    ///
-    /// Shape is a pure function of configuration; *values* are
-    /// wall-clock and carry no determinism promise. Recomputed on
-    /// demand from the merged `ns` totals, so Σ shard trees == the
-    /// merged tree exactly. All-zero (but correctly shaped) when the
-    /// recorder was disabled or ingestion went through the per-edge
-    /// path, which records no time.
-    pub fn time_ledger_tree(&self) -> TimeLedger {
-        let mut ledger = TimeLedger::new("estimator");
-        let root = &mut ledger.root;
-        if let Some(t) = &self.trivial {
-            let mut space = LedgerNode::new();
-            t.space_ledger(&mut space);
-            apportion_by_heat(self.times.trivial_ns, &space, root.child("trivial"));
-        }
-        if self.fps.is_some() {
-            root.leaf("fingerprints", self.times.hash_ns);
-        }
-        if !self.lanes.is_empty() {
-            root.leaf("universe", self.times.universe_ns);
-        }
-        for (i, lane) in self.lanes.iter().enumerate() {
-            let ln = root.child(&format!("lane{i}"));
-            ln.leaf("reducer", lane.times.reduce_ns);
-            let mut space = LedgerNode::new();
-            lane.oracle.space_ledger(&mut space);
-            apportion_by_heat(lane.times.oracle_ns(), &space, ln);
-        }
-        ledger
-    }
+/// Attribute one `(z, rep)` lane under `node`: the `reducer` subtree,
+/// then the oracle's `set_base` and subroutine subtrees. Each half
+/// takes its own measured bracket, split by heat over its own leaves
+/// ([`LedgerNode::apportion_ns`]).
+pub(crate) fn lane_ledger(
+    node: &mut LedgerNode,
+    reducer: &UniverseReducer,
+    oracle: &Oracle,
+    times: LaneTimes,
+) {
+    let r = node.child("reducer");
+    reducer.space_ledger(r);
+    r.apportion_ns(times.reduce_ns);
+    let mut o = LedgerNode::new();
+    oracle.space_ledger(&mut o);
+    o.apportion_ns(times.oracle_ns());
+    node.adopt(o);
 }
 
 // ---- wire format ----------------------------------------------------
@@ -1307,26 +1280,32 @@ impl SpaceUsage for MaxCoverEstimator {
                 .sum::<usize>()
     }
 
-    /// The root of the space-attribution tree. Child names deliberately
+    /// The root of the attribution tree. Child names deliberately
     /// match the finalize-time `"subroutine"` event names (`trivial`,
     /// `fingerprints`, the shared `universe` mix, per-lane
     /// `reducer`/`set_base`/`large_common`/`large_set`/`small_set`) so
     /// `maxkcov prof` can cross-check each subtree against its event's
-    /// `space_words`.
+    /// `space_words`. Each measured bracket lands on the subtree that
+    /// did the work: the trivial branch, the fingerprint fill, the
+    /// universe mix, and per lane its reducer and its oracle.
     fn space_ledger(&self, node: &mut LedgerNode) {
         if let Some(t) = &self.trivial {
-            t.space_ledger(node.child("trivial"));
+            let tn = node.child("trivial");
+            t.space_ledger(tn);
+            tn.apportion_ns(self.times.trivial_ns);
         }
         if let Some(fps) = &self.fps {
-            fps.space_ledger(node.child("fingerprints"));
+            let f = node.child("fingerprints");
+            fps.space_ledger(f);
+            f.apportion_ns(self.times.hash_ns);
         }
         if let Some(lane) = self.lanes.first() {
-            node.leaf("universe", lane.reducer.mix_words());
+            let u = node.child("universe");
+            u.words += lane.reducer.mix_words() as u64;
+            u.ns += self.times.universe_ns;
         }
         for (i, lane) in self.lanes.iter().enumerate() {
-            let ln = node.child(&format!("lane{i}"));
-            lane.reducer.space_ledger(ln.child("reducer"));
-            lane.oracle.space_ledger(ln);
+            lane_ledger(node.child(&format!("lane{i}")), &lane.reducer, &lane.oracle, lane.times);
         }
     }
 }
@@ -1571,10 +1550,10 @@ mod tests {
             // plain sum of u64 counters, so Σ shard ns must equal the
             // merged ns *exactly* — not approximately.
             let part_total: u64 =
-                replicas.iter().map(|r| r.time_ledger_tree().root.total_ns()).sum();
+                replicas.iter().map(|r| r.space_ledger_tree().root.total_ns()).sum();
             let mut subtree: Vec<(String, u64)> = Vec::new();
             for r in &replicas {
-                for (name, node) in r.time_ledger_tree().root.children() {
+                for (name, node) in r.space_ledger_tree().root.children() {
                     match subtree.iter_mut().find(|(n, _)| n == name) {
                         Some((_, ns)) => *ns += node.total_ns(),
                         None => subtree.push((name.to_string(), node.total_ns())),
@@ -1587,14 +1566,14 @@ mod tests {
             for r in &replicas {
                 merged.merge(r);
             }
-            let ledger = merged.time_ledger_tree();
+            let ledger = merged.space_ledger_tree();
             assert_eq!(
                 ledger.root.total_ns(),
                 part_total,
                 "shards={shards}: merged root ns is not the exact shard sum"
             );
             for (name, want) in &subtree {
-                let got = ledger.root.get(name).map_or(0, kcov_obs::TimeNode::total_ns);
+                let got = ledger.root.get(name).map_or(0, kcov_obs::LedgerNode::total_ns);
                 assert_eq!(got, *want, "shards={shards}: subtree '{name}' not additive");
             }
             assert!(

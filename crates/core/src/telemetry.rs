@@ -135,7 +135,7 @@ pub(crate) fn emit_heartbeats(rec: &Recorder, stage: &str, snaps: &[HeartbeatSna
 }
 
 /// Batch-granular wall-clock totals for one `(z, rep)` lane: the raw
-/// material of the time-attribution ledger (DESIGN.md §15). One
+/// material of the ledger's `ns` column (DESIGN.md §13). One
 /// monotonic clock read per batched chunk per lane — the per-edge hot
 /// loop never reads a clock — accumulated into plain `u64`s owned by
 /// the lane, so ingestion workers write only their own state and the

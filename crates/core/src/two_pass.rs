@@ -17,11 +17,11 @@
 
 use std::time::Instant;
 
-use kcov_obs::{apportion_by_heat, LedgerNode, Recorder, SketchStats, TimeLedger};
+use kcov_obs::{Ledger, Recorder, SketchStats};
 use kcov_sketch::SpaceUsage;
 use kcov_stream::Edge;
 
-use crate::estimate::{EstimatorConfig, MaxCoverEstimator};
+use crate::estimate::{lane_ledger, EstimatorConfig, MaxCoverEstimator};
 use crate::fingerprint::{EdgeFingerprints, FingerprintBlock};
 use crate::oracle::Oracle;
 use crate::params::{ParamMode, Params};
@@ -379,26 +379,6 @@ impl TwoPassSecond {
             },
         }
     }
-
-    /// Build the pass-2 time-attribution ledger: a tree rooted at
-    /// `"pass2"` mirroring the pass-2 space ledger's paths
-    /// (`fingerprints`, per-lane `reducer` plus the oracle subtree),
-    /// apportioned by heat exactly like
-    /// [`MaxCoverEstimator::time_ledger_tree`](crate::MaxCoverEstimator::time_ledger_tree).
-    pub fn time_ledger_tree(&self) -> TimeLedger {
-        let mut ledger = TimeLedger::new("pass2");
-        let root = &mut ledger.root;
-        root.leaf("fingerprints", self.times.hash_ns);
-        for (i, (_, oracle)) in self.lanes.iter().enumerate() {
-            let times = self.lane_times.get(i).copied().unwrap_or_default();
-            let ln = root.child(&format!("lane{i}"));
-            ln.leaf("reducer", times.reduce_ns);
-            let mut space = LedgerNode::new();
-            oracle.space_ledger(&mut space);
-            apportion_by_heat(times.oracle_ns(), &space, ln);
-        }
-        ledger
-    }
 }
 
 // ---- wire format ----------------------------------------------------
@@ -546,19 +526,23 @@ impl SpaceUsage for TwoPassSecond {
                 .sum::<usize>()
     }
 
+    /// Same paths and ns rule as the single-pass estimator's tree
+    /// (`fingerprints`, then per lane `reducer` plus the oracle
+    /// subtrees), minus the shared `universe` mix pass 2 does not have.
     fn space_ledger(&self, node: &mut kcov_obs::LedgerNode) {
-        self.fps.space_ledger(node.child("fingerprints"));
+        let f = node.child("fingerprints");
+        self.fps.space_ledger(f);
+        f.apportion_ns(self.times.hash_ns);
         for (i, (r, o)) in self.lanes.iter().enumerate() {
-            let ln = node.child(&format!("lane{i}"));
-            r.space_ledger(ln.child("reducer"));
-            o.space_ledger(ln);
+            let times = self.lane_times.get(i).copied().unwrap_or_default();
+            lane_ledger(node.child(&format!("lane{i}")), r, o, times);
         }
     }
 }
 
 impl TwoPassSecond {
     /// Emit the pass-2 observability snapshot (heartbeats, ingest
-    /// histograms, the `twopass` event, and the pass-2 time ledger)
+    /// histograms, the `twopass` event, and the pass-2 ledger)
     /// against the configured recorder; a no-op when it is disabled.
     /// The `run_two_pass*` drivers call this themselves — drivers that
     /// ingest pass 2 manually (e.g. the CLI's batched loop) call it
@@ -642,30 +626,36 @@ fn record_two_pass(rec: &kcov_obs::Recorder, second: &TwoPassSecond, cover: &Rep
     );
     rec.gauge("twopass.z", second.z() as f64);
     rec.gauge("twopass.space_words", cover.space_words as f64);
-    // Pass-2 time-attribution ledger, same finalize contract as the
-    // single-pass estimator (leaves-only, ns-conserving): pass 2 runs
-    // lanes serially, so the wall budget is the plain batch total.
-    let times = second.time_ledger_tree();
+    // Pass-2 attribution ledger, same finalize contract as the
+    // single-pass estimator (leaves-only, exact words, ns-conserving):
+    // pass 2 runs lanes serially, so the wall budget is the plain batch
+    // total.
+    let mut ledger = Ledger::new("pass2");
+    second.space_ledger(&mut ledger.root);
     assert!(
-        times.audit().is_empty(),
-        "pass-2 time ledger schema violations: {:?}",
-        times.audit()
+        ledger.audit().is_empty(),
+        "pass-2 ledger schema violations: {:?}",
+        ledger.audit()
     );
+    assert_eq!(
+        ledger.total_words(),
+        cover.space_words as u64,
+        "pass-2 ledger must attribute every resident word exactly"
+    );
+    let ns = ledger.total_ns();
     let budget = second.hists.batch_ns.sum();
     assert!(
-        times.total_ns() <= budget,
-        "pass-2 time ledger attributes {} ns against a wall budget of {} ns",
-        times.total_ns(),
-        budget
+        ns <= budget,
+        "pass-2 ledger attributes {ns} ns against a wall budget of {budget} ns"
     );
-    times.emit(rec);
+    ledger.emit(rec);
     rec.event(
         "time_ledger_meta",
         &[
             ("stage", kcov_obs::Value::from("pass2")),
-            ("root", kcov_obs::Value::from(times.name())),
+            ("root", kcov_obs::Value::from(ledger.name())),
             ("threads", kcov_obs::Value::from(1u64)),
-            ("ns", kcov_obs::Value::from(times.total_ns())),
+            ("ns", kcov_obs::Value::from(ns)),
         ],
     );
 }

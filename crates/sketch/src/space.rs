@@ -29,9 +29,10 @@ pub trait SpaceUsage {
     }
 
     /// Attribute this object's resident words (and, where tracked, its
-    /// update heat) into `node`. The default treats the object as one
-    /// opaque leaf; structured implementations add component children
-    /// instead and must keep Σ attributed words == `space_words()`.
+    /// update heat and measured ingest time) into `node`. The default
+    /// treats the object as one opaque leaf; structured implementations
+    /// add component children instead and must keep Σ attributed words
+    /// == `space_words()`.
     fn space_ledger(&self, node: &mut LedgerNode) {
         node.words += self.space_words() as u64;
     }

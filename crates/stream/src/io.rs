@@ -69,6 +69,24 @@ fn parse_pair(line: &str, lineno: usize) -> Result<Option<(u64, u64)>, ParseErro
     Ok(Some((a, b)))
 }
 
+/// Largest accepted `n` or `m`: ids are stored as `u32`, so every id
+/// in `0..n` and `0..m` must fit one.
+const MAX_IDS: u64 = 1 << 32;
+
+/// Validate the `n m` header line.
+fn check_header(n: u64, m: u64, lineno: usize) -> Result<(usize, usize), ParseError> {
+    if n == 0 || m == 0 {
+        return Err(err(lineno, "header must have n >= 1 and m >= 1"));
+    }
+    if n > MAX_IDS || m > MAX_IDS {
+        return Err(err(
+            lineno,
+            format!("header n = {n}, m = {m}: ids must fit u32 (n, m <= 2^32)"),
+        ));
+    }
+    Ok((n as usize, m as usize))
+}
+
 /// Validate an edge line against the header shape.
 fn check_edge(a: u64, b: u64, n: usize, m: usize, lineno: usize) -> Result<Edge, ParseError> {
     if a >= m as u64 {
@@ -91,12 +109,7 @@ pub fn read_edges<R: BufRead>(reader: R) -> Result<(usize, usize, Vec<Edge>), Pa
             continue;
         };
         match header {
-            None => {
-                if a == 0 || b == 0 {
-                    return Err(err(lineno, "header must have n >= 1 and m >= 1"));
-                }
-                header = Some((a as usize, b as usize));
-            }
+            None => header = Some(check_header(a, b, lineno)?),
             Some((n, m)) => edges.push(check_edge(a, b, n, m, lineno)?),
         }
     }
@@ -130,10 +143,7 @@ impl<R: BufRead> EdgeChunkReader<R> {
             let lineno = idx + 1;
             let line = line.map_err(|e| err(lineno, format!("io error: {e}")))?;
             if let Some((a, b)) = parse_pair(&line, lineno)? {
-                if a == 0 || b == 0 {
-                    return Err(err(lineno, "header must have n >= 1 and m >= 1"));
-                }
-                break (a as usize, b as usize);
+                break check_header(a, b, lineno)?;
             }
         };
         Ok(EdgeChunkReader {

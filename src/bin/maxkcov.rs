@@ -35,26 +35,23 @@
 //!
 //! `maxkcov trace-summarize FILE` renders an NDJSON trace written by
 //! `--trace`: aggregate phase timings, heartbeat fill (and cumulative
-//! lane-ns) trajectories, histogram percentiles, and the time-ledger
-//! leaf report, and re-checks the trace's accounting invariants (phase
-//! event nanos vs `time_ns.*` counters, subroutine space vs the
-//! summary total, heartbeat eviction monotonicity vs the final sketch
-//! totals, time-ledger parent sums and ns conservation against the
-//! batch wall clock), failing on violation.
+//! lane-ns) trajectories, histogram percentiles, and the ledger's ns
+//! totals per stage, and re-checks the trace's accounting invariants
+//! (phase event nanos vs `time_ns.*` counters, subroutine space vs the
+//! summary total, heartbeat monotonicity vs the final sketch totals,
+//! and the ledger invariants `prof` checks), failing on violation.
 //!
-//! `maxkcov prof` renders the space-attribution ledger (DESIGN.md §13)
-//! as a sorted words / % / updates / updates-per-word report — either
-//! from a `--trace` file's `"ledger"` events (`maxkcov prof TRACE`,
-//! re-checking the parent-sum, summary-total, and per-subroutine
-//! invariants like `trace-summarize`) or from a live run (`maxkcov
-//! prof --input FILE --k K --alpha A …`, checking the exact-sum
-//! invariant against the estimator's `space_words`). Violations exit
-//! non-zero. `maxkcov prof --time` renders the *time*-attribution
-//! ledger instead (DESIGN.md §15) — sorted ns / % per leaf, audited
-//! for parent sums and ns conservation — and `--folded` switches the
-//! output to Brendan Gregg folded-stacks text (`frame;frame;... ns`,
-//! one line per leaf) ready for `flamegraph.pl` or
-//! `inferno-flamegraph`.
+//! `maxkcov prof` renders the attribution ledger (DESIGN.md §13): one
+//! tree whose leaves carry words, updates, touched words and ns, as a
+//! report ranked by words (or by ns with `--time`) — either from a
+//! `--trace` file's `"ledger"` events (`maxkcov prof TRACE`) or from a
+//! live run (`maxkcov prof --input FILE --k K --alpha A …`). Either way
+//! it re-checks the ledger invariants (parent sums of every column, the
+//! word total against the estimator's space, the per-subroutine match,
+//! ns conservation against the measured wall clock) and exits non-zero
+//! on a violation. `--time --folded` switches the output to Brendan
+//! Gregg folded-stacks text of the ns column (`frame;frame;... ns`, one
+//! line per leaf) ready for `flamegraph.pl` or `inferno-flamegraph`.
 //!
 //! Distributed ingestion (DESIGN.md §11): `maxkcov worker` ingests one
 //! contiguous shard of the stream (`--shards N --shard I`) and writes
@@ -69,16 +66,14 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::process::ExitCode;
 use std::time::Instant;
 
 use kcov_baselines::{greedy_max_cover, max_cover_exact};
 use kcov_core::{EstimatorConfig, MaxCoverEstimator, MaxCoverReporter, ParamMode};
 use kcov_obs::json::Json;
-use kcov_obs::{
-    render_ledger_report, render_time_report, Histogram, LedgerRow, Recorder, TimeLedgerRow, Value,
-};
+use kcov_obs::{render_folded, render_ledger_report, Histogram, LedgerRow, Rank, Recorder, Value};
 use kcov_sketch::{SpaceUsage, WireEncode};
 use kcov_stream::gen;
 use kcov_stream::{
@@ -88,8 +83,11 @@ use kcov_stream::{
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let mut out = io::stdout().lock();
+    match run(&args, &mut out).and_then(|()| out.flush().map_err(write_err)) {
+        // A reader that stops early (`| head`) is not an error.
         Ok(()) => ExitCode::SUCCESS,
+        Err(msg) if msg == STDOUT_CLOSED => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}");
             eprintln!();
@@ -97,6 +95,37 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// The error a write to a closed stdout maps to (see [`write_err`]).
+const STDOUT_CLOSED: &str = "stdout closed";
+
+/// Map a failed stdout write into the CLI's error path: a closed reader
+/// becomes [`STDOUT_CLOSED`], which `main` treats as a clean exit.
+fn write_err(e: io::Error) -> String {
+    if e.kind() == io::ErrorKind::BrokenPipe {
+        STDOUT_CLOSED.to_string()
+    } else {
+        format!("write stdout: {e}")
+    }
+}
+
+/// `writeln!` to the CLI's one stdout writer, returning early through
+/// [`write_err`] when the write fails.
+macro_rules! outln {
+    ($out:expr) => {
+        writeln!($out).map_err(write_err)?
+    };
+    ($out:expr, $($arg:tt)*) => {
+        writeln!($out, $($arg)*).map_err(write_err)?
+    };
+}
+
+/// `write!` counterpart of [`outln!`].
+macro_rules! out {
+    ($out:expr, $($arg:tt)*) => {
+        write!($out, $($arg)*).map_err(write_err)?
+    };
 }
 
 const USAGE: &str = "usage:
@@ -139,14 +168,14 @@ commutative merge and finalizes, matching a single-process --shards N run.
 --snapshot FILE --snapshot-every E checkpoints the worker every E shard edges;
 --resume FILE restarts from a checkpoint (no replay); --stop-after E simulates
 a crash after E edges (exits non-zero, periodic snapshots left for recovery).
-prof renders the space-attribution ledger (words / % / updates / upd-per-word)
-from a --trace file's ledger events or from a live run, re-checking the ledger
-invariants (parent sums, summary total, per-subroutine match); --top N limits
-the report to the N hottest leaves (default 20, 0 = all). prof --time renders
-the time-attribution ledger instead (ns / % per leaf, DESIGN.md sec. 15),
-re-checking its parent-sum and ns-conservation invariants; --folded emits
-Brendan Gregg folded-stacks text (one 'path ns' line per leaf, frames joined
-by ';') ready for flamegraph.pl / inferno-flamegraph.";
+prof renders the attribution ledger (words / updates / upd-per-word / ns per
+leaf, DESIGN.md sec. 13) from a --trace file's ledger events or from a live run,
+re-checking its invariants (parent sums of every column, summary total,
+per-subroutine match, ns conservation); leaves are ranked by words, or by ns
+with --time. --top N limits the report to the N hottest leaves (default 20,
+0 = all); --time --folded emits Brendan Gregg folded-stacks text of the ns
+column (one 'path ns' line per leaf, frames joined by ';') ready for
+flamegraph.pl / inferno-flamegraph.";
 
 /// Whether a flag takes a value or is a bare boolean.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -314,12 +343,12 @@ impl ObsOpts {
 
     /// Append metrics/trace output *after* the normal result lines
     /// (default stdout stays byte-identical when neither is requested).
-    fn emit(&self, rec: &Recorder) -> Result<(), String> {
+    fn emit(&self, rec: &Recorder, out: &mut dyn Write) -> Result<(), String> {
         if self.metrics {
-            print!("{}", rec.summary_table());
+            out!(out, "{}", rec.summary_table());
             let subs = rec.events_of("subroutine");
             if !subs.is_empty() {
-                println!("subroutine                                estimate      space");
+                outln!(out, "subroutine                                estimate      space");
                 for ev in &subs {
                     let lane = ev.u64_field("lane").unwrap_or(0);
                     let name = ev.str_field("name").unwrap_or("?");
@@ -330,7 +359,7 @@ impl ObsOpts {
                     } else {
                         "-".to_string()
                     };
-                    println!("  lane{lane:<3} {name:<30}  {est:>10}  {words:>9}");
+                    outln!(out, "  lane{lane:<3} {name:<30}  {est:>10}  {words:>9}");
                 }
             }
         }
@@ -352,6 +381,24 @@ fn req<'a>(flags: &'a HashMap<String, String>, key: &str) -> Result<&'a str, Str
 
 fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("bad {what}: '{s}'"))
+}
+
+/// `--k K`: how many sets to pick, at least 1.
+fn parse_k(s: &str) -> Result<usize, String> {
+    match parse_num(s, "k")? {
+        0 => Err("--k must be >= 1".into()),
+        k => Ok(k),
+    }
+}
+
+/// `--alpha A`: the approximation factor, a finite number >= 1.
+fn parse_alpha(s: &str) -> Result<f64, String> {
+    let alpha: f64 = parse_num(s, "alpha")?;
+    if alpha.is_finite() && alpha >= 1.0 {
+        Ok(alpha)
+    } else {
+        Err(format!("--alpha must be a finite number >= 1, got '{s}'"))
+    }
 }
 
 fn load(flags: &HashMap<String, String>) -> Result<SetSystem, String> {
@@ -412,7 +459,7 @@ fn parse_batch(flags: &HashMap<String, String>) -> Result<Option<usize>, String>
 }
 
 
-fn run(args: &[String]) -> Result<(), String> {
+fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let Some((cmd, rest)) = args.split_first() else {
         return Err("no subcommand".into());
     };
@@ -421,17 +468,17 @@ fn run(args: &[String]) -> Result<(), String> {
         let [path] = rest else {
             return Err("trace-summarize takes exactly one argument: the trace file".into());
         };
-        return cmd_trace_summarize(path);
+        return cmd_trace_summarize(path, out);
     }
     if cmd == "merge-from" {
         // Takes positional replica FILEs plus --flags.
         let (files, flags) = split_positional(cmd, rest)?;
-        return cmd_merge_from(&files, &flags);
+        return cmd_merge_from(&files, &flags, out);
     }
     if cmd == "prof" {
         // Takes either a positional TRACE file or --input for a live run.
         let (files, flags) = split_positional(cmd, rest)?;
-        return cmd_prof(&files, &flags);
+        return cmd_prof(&files, &flags, out);
     }
     if !matches!(
         cmd.as_str(),
@@ -442,16 +489,16 @@ fn run(args: &[String]) -> Result<(), String> {
     }
     let flags = parse_flags(cmd, rest)?;
     match cmd.as_str() {
-        "gen" => cmd_gen(&flags),
-        "stats" => cmd_stats(&flags),
-        "greedy" => cmd_greedy(&flags),
-        "exact" => cmd_exact(&flags),
-        "estimate" => cmd_estimate(&flags),
-        "report" => cmd_report(&flags),
-        "twopass" => cmd_twopass(&flags),
-        "setcover" => cmd_setcover(&flags),
-        "budget" => cmd_budget(&flags),
-        "worker" => cmd_worker(&flags),
+        "gen" => cmd_gen(&flags, out),
+        "stats" => cmd_stats(&flags, out),
+        "greedy" => cmd_greedy(&flags, out),
+        "exact" => cmd_exact(&flags, out),
+        "estimate" => cmd_estimate(&flags, out),
+        "report" => cmd_report(&flags, out),
+        "twopass" => cmd_twopass(&flags, out),
+        "setcover" => cmd_setcover(&flags, out),
+        "budget" => cmd_budget(&flags, out),
+        "worker" => cmd_worker(&flags, out),
         other => Err(format!("unknown subcommand '{other}'")),
     }
 }
@@ -484,7 +531,7 @@ fn split_positional(
     Ok((positional, flags))
 }
 
-fn cmd_gen(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_gen(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), String> {
     let kind = req(flags, "kind")?;
     let n: usize = parse_num(req(flags, "n")?, "n")?;
     let m: usize = parse_num(req(flags, "m")?, "m")?;
@@ -492,8 +539,8 @@ fn cmd_gen(flags: &HashMap<String, String>) -> Result<(), String> {
         Some(s) => parse_num(s, "seed")?,
         None => 0,
     };
-    let k: usize = match flags.get("k") {
-        Some(s) => parse_num(s, "k")?,
+    let k = match flags.get("k") {
+        Some(s) => parse_k(s)?,
         None => (m / 20).max(1),
     };
     let system = match kind {
@@ -508,7 +555,8 @@ fn cmd_gen(flags: &HashMap<String, String>) -> Result<(), String> {
     let path = req(flags, "out")?;
     let file = File::create(path).map_err(|e| format!("create {path}: {e}"))?;
     write_set_system(&system, BufWriter::new(file)).map_err(|e| format!("write: {e}"))?;
-    println!(
+    outln!(
+        out,
         "wrote {path}: n={} m={} edges={}",
         system.num_elements(),
         system.num_sets(),
@@ -517,30 +565,30 @@ fn cmd_gen(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_stats(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_stats(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), String> {
     let system = load(flags)?;
     let st = CoverageStats::of(&system);
-    println!("n              = {}", st.n);
-    println!("m              = {}", st.m);
-    println!("edges          = {}", st.total_edges);
-    println!("max set size   = {}", st.max_set_size);
-    println!("max frequency  = {}", st.max_frequency);
-    println!("covered elems  = {}", st.covered_elements);
+    outln!(out, "n              = {}", st.n);
+    outln!(out, "m              = {}", st.m);
+    outln!(out, "edges          = {}", st.total_edges);
+    outln!(out, "max set size   = {}", st.max_set_size);
+    outln!(out, "max frequency  = {}", st.max_frequency);
+    outln!(out, "covered elems  = {}", st.covered_elements);
     Ok(())
 }
 
-fn cmd_greedy(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_greedy(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), String> {
     let system = load(flags)?;
-    let k: usize = parse_num(req(flags, "k")?, "k")?;
+    let k = parse_k(req(flags, "k")?)?;
     let r = greedy_max_cover(&system, k);
-    println!("greedy coverage = {}", r.coverage);
-    println!("sets = {:?}", r.chosen);
+    outln!(out, "greedy coverage = {}", r.coverage);
+    outln!(out, "sets = {:?}", r.chosen);
     Ok(())
 }
 
-fn cmd_exact(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_exact(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), String> {
     let system = load(flags)?;
-    let k: usize = parse_num(req(flags, "k")?, "k")?;
+    let k = parse_k(req(flags, "k")?)?;
     if system.num_sets() > 64 {
         eprintln!(
             "warning: exact search on m = {} sets may take very long",
@@ -548,15 +596,15 @@ fn cmd_exact(flags: &HashMap<String, String>) -> Result<(), String> {
         );
     }
     let (chosen, cov) = max_cover_exact(&system, k);
-    println!("exact optimum = {cov}");
-    println!("sets = {chosen:?}");
+    outln!(out, "exact optimum = {cov}");
+    outln!(out, "sets = {chosen:?}");
     Ok(())
 }
 
-fn cmd_estimate(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_estimate(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), String> {
     let system = load(flags)?;
-    let k: usize = parse_num(req(flags, "k")?, "k")?;
-    let alpha: f64 = parse_num(req(flags, "alpha")?, "alpha")?;
+    let k = parse_k(req(flags, "k")?)?;
+    let alpha = parse_alpha(req(flags, "alpha")?)?;
     let order = parse_order(flags)?;
     let mut config = parse_config(flags)?;
     let obs = ObsOpts::parse(flags)?;
@@ -582,14 +630,14 @@ fn cmd_estimate(flags: &HashMap<String, String>) -> Result<(), String> {
         }
     }
     span.finish();
-    let out = est.finalize();
-    println!("estimate      = {:.1}", out.estimate);
-    println!("winning z     = {}", out.winning_z);
-    println!("winner        = {:?}", out.winner);
-    println!("trivial       = {}", out.trivial);
-    println!("space (words) = {}", est.space_words());
-    println!("stream edges  = {}", edges.len());
-    obs.emit(&rec)
+    let res = est.finalize();
+    outln!(out, "estimate      = {:.1}", res.estimate);
+    outln!(out, "winning z     = {}", res.winning_z);
+    outln!(out, "winner        = {:?}", res.winner);
+    outln!(out, "trivial       = {}", res.trivial);
+    outln!(out, "space (words) = {}", est.space_words());
+    outln!(out, "stream edges  = {}", edges.len());
+    obs.emit(&rec, out)
 }
 
 /// Mirror of `telemetry::crosses_beat`: true when `[seen_before,
@@ -610,10 +658,10 @@ fn write_replica(path: &str, est: &MaxCoverEstimator) -> Result<usize, String> {
     Ok(bytes.len())
 }
 
-fn cmd_worker(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_worker(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), String> {
     let system = load(flags)?;
-    let k: usize = parse_num(req(flags, "k")?, "k")?;
-    let alpha: f64 = parse_num(req(flags, "alpha")?, "alpha")?;
+    let k = parse_k(req(flags, "k")?)?;
+    let alpha = parse_alpha(req(flags, "alpha")?)?;
     let order = parse_order(flags)?;
     let mut config = parse_config(flags)?;
     let obs = ObsOpts::parse(flags)?;
@@ -706,7 +754,7 @@ fn cmd_worker(flags: &HashMap<String, String>) -> Result<(), String> {
     span.finish();
     if stopped {
         rec.provenance("crash", shard as u64, est.edges_seen(), "stop-after");
-        obs.emit(&rec)?;
+        obs.emit(&rec, out)?;
         eprintln!(
             "worker shard {shard}: stopped after {} edges (simulated crash; periodic snapshots kept)",
             est.edges_seen()
@@ -715,14 +763,18 @@ fn cmd_worker(flags: &HashMap<String, String>) -> Result<(), String> {
     }
     rec.provenance("worker-done", shard as u64, est.edges_seen(), out_path);
     let bytes = write_replica(out_path, &est)?;
-    println!("worker shard   = {shard}/{shards}");
-    println!("chunk edges    = {} (resumed at {skip})", chunk.len());
-    println!("shard edges    = {}", est.edges_seen());
-    println!("replica        = {out_path} ({bytes} bytes)");
-    obs.emit(&rec)
+    outln!(out, "worker shard   = {shard}/{shards}");
+    outln!(out, "chunk edges    = {} (resumed at {skip})", chunk.len());
+    outln!(out, "shard edges    = {}", est.edges_seen());
+    outln!(out, "replica        = {out_path} ({bytes} bytes)");
+    obs.emit(&rec, out)
 }
 
-fn cmd_merge_from(files: &[String], flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_merge_from(
+    files: &[String],
+    flags: &HashMap<String, String>,
+    out: &mut dyn Write,
+) -> Result<(), String> {
     if files.is_empty() {
         return Err("merge-from needs at least one replica file".into());
     }
@@ -799,20 +851,20 @@ fn cmd_merge_from(files: &[String], flags: &HashMap<String, String>) -> Result<(
         span.finish();
         base
     };
-    let out = base.finalize();
-    println!("estimate      = {:.1}", out.estimate);
-    println!("winning z     = {}", out.winning_z);
-    println!("winner        = {:?}", out.winner);
-    println!("trivial       = {}", out.trivial);
-    println!("space (words) = {}", base.space_words());
-    println!("stream edges  = {}", base.edges_seen());
-    obs.emit(&rec)
+    let res = base.finalize();
+    outln!(out, "estimate      = {:.1}", res.estimate);
+    outln!(out, "winning z     = {}", res.winning_z);
+    outln!(out, "winner        = {:?}", res.winner);
+    outln!(out, "trivial       = {}", res.trivial);
+    outln!(out, "space (words) = {}", base.space_words());
+    outln!(out, "stream edges  = {}", base.edges_seen());
+    obs.emit(&rec, out)
 }
 
-fn cmd_twopass(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_twopass(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), String> {
     let system = load(flags)?;
-    let k: usize = parse_num(req(flags, "k")?, "k")?;
-    let alpha: f64 = parse_num(req(flags, "alpha")?, "alpha")?;
+    let k = parse_k(req(flags, "k")?)?;
+    let alpha = parse_alpha(req(flags, "alpha")?)?;
     let order = parse_order(flags)?;
     let mut config = parse_config(flags)?;
     let obs = ObsOpts::parse(flags)?;
@@ -845,17 +897,17 @@ fn cmd_twopass(flags: &HashMap<String, String>) -> Result<(), String> {
         }
     };
     let chosen: Vec<usize> = cover.sets.iter().map(|&s| s as usize).collect();
-    println!("reported sets  = {:?}", cover.sets);
-    println!("real coverage  = {}", coverage_of(&system, &chosen));
-    println!("estimate       = {:.1}", cover.estimate);
-    println!("winner         = {:?}", cover.winner);
-    println!("space (words)  = {} (pass 2)", cover.space_words);
-    obs.emit(&rec)
+    outln!(out, "reported sets  = {:?}", cover.sets);
+    outln!(out, "real coverage  = {}", coverage_of(&system, &chosen));
+    outln!(out, "estimate       = {:.1}", cover.estimate);
+    outln!(out, "winner         = {:?}", cover.winner);
+    outln!(out, "space (words)  = {} (pass 2)", cover.space_words);
+    obs.emit(&rec, out)
 }
 
-fn cmd_budget(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_budget(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), String> {
     let system = load(flags)?;
-    let k: usize = parse_num(req(flags, "k")?, "k")?;
+    let k = parse_k(req(flags, "k")?)?;
     let words: usize = parse_num(req(flags, "words")?, "words (space budget)")?;
     let order = parse_order(flags)?;
     let mut config = parse_config(flags)?;
@@ -868,9 +920,9 @@ fn cmd_budget(flags: &HashMap<String, String>) -> Result<(), String> {
             kcov_core::predict_space_words(n, m, k, (m as f64).sqrt().max(1.0), &config)
         ));
     };
-    println!("budget         = {words} words");
-    println!("fitted alpha   = {:.2}", fit.alpha);
-    println!("predicted max  = {} words", fit.predicted_words);
+    outln!(out, "budget         = {words} words");
+    outln!(out, "fitted alpha   = {:.2}", fit.alpha);
+    outln!(out, "predicted max  = {} words", fit.predicted_words);
     let batch = parse_batch(flags)?;
     let edges = edge_stream(&system, order);
     let span = rec.span("ingest");
@@ -892,10 +944,10 @@ fn cmd_budget(flags: &HashMap<String, String>) -> Result<(), String> {
         }
     }
     span.finish();
-    let out = fit.estimator.finalize();
-    println!("estimate       = {:.1}", out.estimate);
-    println!("actual space   = {} words", fit.estimator.space_words());
-    obs.emit(&rec)
+    let res = fit.estimator.finalize();
+    outln!(out, "estimate       = {:.1}", res.estimate);
+    outln!(out, "actual space   = {} words", fit.estimator.space_words());
+    obs.emit(&rec, out)
 }
 
 /// Fields accumulated per `(stage, shard, at_edges)` heartbeat row.
@@ -934,16 +986,13 @@ struct TraceSummary {
     /// Reconstructed `"histogram"` events, in emission order.
     histograms: Vec<(String, Histogram)>,
     /// `"ledger"` events as flattened rows, in emission order
-    /// (preorder of the attribution tree, subtree totals per row).
+    /// (preorder of each attribution tree, subtree totals per row). A
+    /// two-pass trace holds two trees (`estimator/...` then
+    /// `pass2/...`), distinguished by their root path segment.
     ledger_rows: Vec<LedgerRow>,
-    /// `"time_ledger"` events as flattened rows, in emission order
-    /// (preorder, subtree ns totals per row). A two-pass trace holds
-    /// two trees (`estimator/...` then `pass2/...`), distinguished by
-    /// their root path segment.
-    time_rows: Vec<TimeLedgerRow>,
     /// `"time_ledger_meta"` events as `(stage, root, threads, ns)` —
-    /// one per emitted time-ledger tree, carrying the wall budget
-    /// factors for the conservation re-check.
+    /// one per emitted ledger tree, carrying the wall budget factors
+    /// for the conservation re-check.
     time_meta: Vec<(String, String, u64, u64)>,
     /// Sum of `"sketch"` event `evictions` and how many contributed —
     /// the finalize-time totals the heartbeat trajectories must stay
@@ -1017,16 +1066,6 @@ fn parse_trace(path: &str) -> Result<TraceSummary, String> {
                     updates: json_u64(&doc, "updates").ok_or_else(|| bad("updates"))?,
                     touched_words: json_u64(&doc, "touched_words")
                         .ok_or_else(|| bad("touched_words"))?,
-                    children: json_u64(&doc, "children").ok_or_else(|| bad("children"))? as usize,
-                });
-            }
-            "time_ledger" => {
-                let path = doc
-                    .get("path")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("path"))?;
-                out.time_rows.push(TimeLedgerRow {
-                    path: path.to_string(),
                     ns: json_u64(&doc, "ns").ok_or_else(|| bad("ns"))?,
                     children: json_u64(&doc, "children").ok_or_else(|| bad("children"))? as usize,
                 });
@@ -1162,6 +1201,7 @@ fn trace_invariant_violations(t: &TraceSummary) -> Vec<String> {
     // totals — the merged totals include every shard's evictions plus
     // any the merge itself performed.
     let mut final_ev: BTreeMap<(&str, u64), u64> = BTreeMap::new();
+    let mut last_ns: BTreeMap<(&str, u64), u64> = BTreeMap::new();
     for ((stage, shard, at), row) in &t.beats {
         let prev = final_ev.entry((stage.as_str(), *shard)).or_insert(0);
         if row.evictions < *prev {
@@ -1172,6 +1212,17 @@ fn trace_invariant_violations(t: &TraceSummary) -> Vec<String> {
             ));
         }
         *prev = (*prev).max(row.evictions);
+        // Heartbeat `ns` payloads are cumulative per lane, so each
+        // trajectory summed over its (constant) lane set is monotone too.
+        let prev = last_ns.entry((stage.as_str(), *shard)).or_insert(0);
+        if row.ns < *prev {
+            violations.push(format!(
+                "heartbeat ns not monotone: stage '{stage}' shard {shard} drops from {prev} \
+                 to {} at {at} edges",
+                row.ns
+            ));
+        }
+        *prev = (*prev).max(row.ns);
     }
     if t.sketch_events > 0 && !final_ev.is_empty() {
         // Only the estimate-stage trajectories: the "sketch" events are
@@ -1194,13 +1245,21 @@ fn trace_invariant_violations(t: &TraceSummary) -> Vec<String> {
 }
 
 /// Re-check the invariants of a trace's `"ledger"` events (DESIGN.md
-/// §13): every interior row's subtree totals equal the sum of its
-/// immediate children's, the root's resident words equal the summary
-/// total, and each per-subroutine subtree matches its `"subroutine"`
-/// event's `space_words` exactly. Returns all violations.
+/// §13), tree by tree (the `estimator` root, and `pass2` in two-pass
+/// traces): every interior row declares as many children as the trace
+/// holds and each of its four columns equals the sum of its immediate
+/// children's; the `estimator` root's words equal the summary total;
+/// each per-subroutine subtree matches its `"subroutine"` event's
+/// `space_words` exactly; every `"time_ledger_meta"` event agrees with
+/// its root row's ns; and attribution is conserved — a tree's total ns
+/// can never exceed its stage's measured batch wall clock (`*.batch_ns`
+/// histogram sum) times the worker-thread count, because every
+/// attributed interval nests inside a batch interval and at most
+/// `threads` lanes overlap. Returns all violations.
 fn ledger_invariant_violations(t: &TraceSummary) -> Vec<String> {
     let rows = &t.ledger_rows;
     let mut violations = Vec::new();
+    let cols = |r: &LedgerRow| [r.words, r.updates, r.touched_words, r.ns].map(u128::from);
     for parent in rows.iter().filter(|r| r.children > 0) {
         let prefix = format!("{}/", parent.path);
         let children: Vec<&LedgerRow> = rows
@@ -1216,22 +1275,22 @@ fn ledger_invariant_violations(t: &TraceSummary) -> Vec<String> {
             ));
             continue;
         }
-        let sum = |f: fn(&LedgerRow) -> u64| children.iter().map(|r| f(r)).sum::<u64>();
-        let sums = (sum(|r| r.words), sum(|r| r.updates), sum(|r| r.touched_words));
-        if sums != (parent.words, parent.updates, parent.touched_words) {
+        let mut sums = [0u128; 4];
+        for child in &children {
+            for (sum, v) in sums.iter_mut().zip(cols(child)) {
+                *sum += v;
+            }
+        }
+        if sums != cols(parent) {
             violations.push(format!(
-                "ledger '{}' totals ({}, {}, {}) != children sums ({}, {}, {})",
+                "ledger '{}' totals (words, updates, touched_words, ns) {:?} != children sums {:?}",
                 parent.path,
-                parent.words,
-                parent.updates,
-                parent.touched_words,
-                sums.0,
-                sums.1,
-                sums.2
+                cols(parent),
+                sums
             ));
         }
     }
-    let root = rows.iter().find(|r| !r.path.contains('/'));
+    let root = rows.iter().find(|r| r.path == "estimator");
     if let (Some(root), Some((_, summary_words, _))) = (root, t.summary) {
         if root.words != summary_words {
             violations.push(format!(
@@ -1261,54 +1320,15 @@ fn ledger_invariant_violations(t: &TraceSummary) -> Vec<String> {
             )),
         }
     }
-    violations
-}
-
-/// Re-check the invariants of a trace's `"time_ledger"` events
-/// (DESIGN.md §15): every interior row's subtree ns equals the sum of
-/// its immediate children's, every emitted tree has a matching
-/// `"time_ledger_meta"` event whose total agrees with the root row,
-/// and attribution is conserved — a tree's total ns can never exceed
-/// its stage's measured batch wall clock (`*.batch_ns` histogram sum)
-/// times the worker-thread count, because every attributed interval
-/// nests inside a batch interval and at most `threads` lanes overlap.
-/// Heartbeat `ns` trajectories must be monotone in stream position.
-/// Returns all violations.
-fn time_invariant_violations(t: &TraceSummary) -> Vec<String> {
-    let rows = &t.time_rows;
-    let mut violations = Vec::new();
-    for parent in rows.iter().filter(|r| r.children > 0) {
-        let prefix = format!("{}/", parent.path);
-        let children: Vec<&TimeLedgerRow> = rows
-            .iter()
-            .filter(|r| r.path.strip_prefix(&prefix).is_some_and(|rest| !rest.contains('/')))
-            .collect();
-        if children.len() != parent.children {
-            violations.push(format!(
-                "time ledger '{}' declares {} children but the trace holds {}",
-                parent.path,
-                parent.children,
-                children.len()
-            ));
-            continue;
-        }
-        let sum: u64 = children.iter().map(|r| r.ns).sum();
-        if sum != parent.ns {
-            violations.push(format!(
-                "time ledger '{}' totals {} ns != children sum {} ns",
-                parent.path, parent.ns, sum
-            ));
-        }
-    }
     for (stage, root, threads, meta_ns) in &t.time_meta {
         match rows.iter().find(|r| &r.path == root) {
             Some(r) if r.ns == *meta_ns => {}
             Some(r) => violations.push(format!(
-                "time ledger root '{root}' attributes {} ns but its meta event reports {meta_ns}",
+                "ledger root '{root}' attributes {} ns but its meta event reports {meta_ns}",
                 r.ns
             )),
             None => violations.push(format!(
-                "time_ledger_meta for stage '{stage}' has no time ledger rows at root '{root}'"
+                "time_ledger_meta for stage '{stage}' has no ledger rows at root '{root}'"
             )),
         }
         // The wall budget of each stage: the batch-granular clocks only
@@ -1332,284 +1352,171 @@ fn time_invariant_violations(t: &TraceSummary) -> Vec<String> {
         let budget = wall.saturating_mul((*threads).max(1));
         if *meta_ns > budget {
             violations.push(format!(
-                "time ledger stage '{stage}' attributes {meta_ns} ns but the wall budget is \
+                "ledger stage '{stage}' attributes {meta_ns} ns but the wall budget is \
                  {budget} ns ({hist} sum {wall} x {threads} thread(s))"
             ));
         }
     }
-    // Heartbeat `ns` payloads are cumulative per lane, so each
-    // (stage, shard) trajectory summed over its (constant) lane set is
-    // monotone in stream position.
-    let mut last_ns: BTreeMap<(&str, u64), u64> = BTreeMap::new();
-    for ((stage, shard, at), row) in &t.beats {
-        let prev = last_ns.entry((stage.as_str(), *shard)).or_insert(0);
-        if row.ns < *prev {
-            violations.push(format!(
-                "heartbeat ns not monotone: stage '{stage}' shard {shard} drops from {prev} \
-                 to {} at {at} edges",
-                row.ns
-            ));
-        }
-        *prev = (*prev).max(row.ns);
-    }
     violations
 }
 
-/// `maxkcov prof` — render the space-attribution ledger, from a trace
-/// file (positional) or a live run (`--input`), re-checking the ledger
-/// invariants either way.
-fn cmd_prof(files: &[String], flags: &HashMap<String, String>) -> Result<(), String> {
+/// What `prof` renders: a banner line naming the source, the ledger
+/// rows (preorder, one tree after another), and the invariant
+/// violations found while collecting them.
+type ProfSource = (String, Vec<LedgerRow>, Vec<String>);
+
+/// `maxkcov prof` — render the attribution ledger from a trace file
+/// (positional) or a live run (`--input`), re-checking the ledger
+/// invariants either way. Leaves are ranked by words, or with `--time`
+/// by ns; `--folded` prints folded stacks of the ns column instead.
+fn cmd_prof(
+    files: &[String],
+    flags: &HashMap<String, String>,
+    out: &mut dyn Write,
+) -> Result<(), String> {
     let top: usize = match flags.get("top") {
         Some(s) => parse_num(s, "top")?,
         None => 20,
     };
     let time = flags.contains_key("time");
     if flags.contains_key("folded") && !time {
-        return Err("--folded needs --time (folded stacks are a time-ledger rendering)".into());
+        return Err("--folded needs --time (folded stacks are a rendering of the ns column)".into());
     }
     let folded = flags.contains_key("folded");
-    match (files, flags.contains_key("input")) {
-        ([path], false) if time => cmd_prof_time_trace(path, top, folded),
-        ([path], false) => cmd_prof_trace(path, top),
-        ([], true) if time => cmd_prof_time_live(flags, top, folded),
-        ([], true) => cmd_prof_live(flags, top),
-        ([], false) => Err("prof needs a TRACE file or --input FILE for a live run".into()),
-        (_, true) => Err("prof takes a TRACE file or --input, not both".into()),
-        (_, false) => Err("prof takes exactly one TRACE file".into()),
-    }
-}
-
-/// `maxkcov prof --time TRACE` — render the time-attribution ledger of
-/// a trace (one report per emitted tree: `estimator`, and `pass2` for
-/// two-pass traces), or its folded stacks with `--folded`, re-checking
-/// the time invariants either way.
-fn cmd_prof_time_trace(path: &str, top: usize, folded: bool) -> Result<(), String> {
-    let t = parse_trace(path)?;
-    if t.time_rows.is_empty() {
-        return Err(format!(
-            "trace {path} contains no time_ledger events (written by --trace since the \
-             time-attribution ledger landed; re-run the traced command)"
-        ));
-    }
-    let violations = time_invariant_violations(&t);
+    let (banner, rows, violations) = match (files, flags.contains_key("input")) {
+        ([path], false) => prof_trace(path)?,
+        ([], true) => prof_live(flags)?,
+        ([], false) => return Err("prof needs a TRACE file or --input FILE for a live run".into()),
+        (_, true) => return Err("prof takes a TRACE file or --input, not both".into()),
+        (_, false) => return Err("prof takes exactly one TRACE file".into()),
+    };
+    let (rank, label) = if time { (Rank::Ns, "time") } else { (Rank::Words, "ledger") };
     if folded {
         // Folded stacks only on stdout, so the output pipes straight
         // into flamegraph.pl / inferno-flamegraph.
-        for row in t.time_rows.iter().filter(|r| r.children == 0) {
-            println!("{} {}", row.path.replace('/', ";"), row.ns);
-        }
+        out!(out, "{}", render_folded(&rows));
     } else {
-        println!("trace          = {path}");
-        println!("time nodes     = {}", t.time_rows.len());
+        outln!(out, "{banner}");
+        outln!(out, "{:<15}= {}", format!("{label} nodes"), rows.len());
         // Emission order groups each tree's preorder rows contiguously;
         // rendering per root keeps the % column scaled per tree.
-        let mut trees: Vec<Vec<TimeLedgerRow>> = Vec::new();
-        for row in &t.time_rows {
-            let root = row.path.split('/').next().unwrap_or("");
-            match trees.last_mut() {
-                Some(rows)
-                    if rows
-                        .first()
-                        .is_some_and(|r| r.path.split('/').next() == Some(root)) =>
-                {
-                    rows.push(row.clone());
-                }
-                _ => trees.push(vec![row.clone()]),
-            }
+        let root = |r: &LedgerRow| r.path.split('/').next().unwrap_or("").to_string();
+        for tree in rows.chunk_by(|a, b| root(a) == root(b)) {
+            outln!(out);
+            out!(out, "{}", render_ledger_report(tree, top, rank));
         }
-        for rows in &trees {
-            println!();
-            print!("{}", render_time_report(rows, top));
-        }
-        println!();
+        outln!(out);
     }
     if violations.is_empty() {
         if !folded {
-            println!("time invariants OK");
+            outln!(out, "{label} invariants OK");
         }
-        Ok(())
-    } else {
-        for v in &violations {
-            eprintln!("invariant violated: {v}");
-        }
-        Err(format!(
-            "{} time invariant(s) violated in {path}",
-            violations.len()
-        ))
+        return Ok(());
     }
+    for v in &violations {
+        eprintln!("invariant violated: {v}");
+    }
+    Err(format!("{} {label} invariant(s) violated", violations.len()))
 }
 
-/// `maxkcov prof --time --input FILE …` — run an ingest with the
-/// batch-granular clocks live and render the resulting time ledger (or
-/// folded stacks), auditing leaves-only attribution and ns
+/// `maxkcov prof TRACE`: the `"ledger"` rows of a `--trace` file,
+/// checked by [`ledger_invariant_violations`].
+fn prof_trace(path: &str) -> Result<ProfSource, String> {
+    let t = parse_trace(path)?;
+    if t.ledger_rows.is_empty() {
+        return Err(format!(
+            "trace {path} contains no ledger events (re-run the traced command)"
+        ));
+    }
+    let violations = ledger_invariant_violations(&t);
+    Ok((format!("trace          = {path}"), t.ledger_rows, violations))
+}
+
+/// `maxkcov prof --input FILE …`: run an ingest with a live recorder
+/// (the batch-granular clocks only run against one; prof never emits
+/// its event stream) and audit the resulting ledger: leaves-only
+/// attribution, the exact word sum against `space_words`, and ns
 /// conservation against the measured ingest wall clock.
-fn cmd_prof_time_live(
-    flags: &HashMap<String, String>,
-    top: usize,
-    folded: bool,
-) -> Result<(), String> {
+fn prof_live(flags: &HashMap<String, String>) -> Result<ProfSource, String> {
     let system = load(flags)?;
-    let k: usize = parse_num(req(flags, "k")?, "k")?;
-    let alpha: f64 = parse_num(req(flags, "alpha")?, "alpha")?;
+    let k = parse_k(req(flags, "k")?)?;
+    let alpha = parse_alpha(req(flags, "alpha")?)?;
     let order = parse_order(flags)?;
     let mut config = parse_config(flags)?;
-    // The batch-granular clocks only run against a live recorder
-    // (disabled-recorder runs must stay zero-overhead), so attach one
-    // even though prof never emits its event stream.
     config.recorder = Recorder::enabled();
-    let batch = parse_batch(flags)?;
+    let batch = parse_batch(flags)?.unwrap_or(1024);
     let edges = edge_stream(&system, order);
     let mut est =
         MaxCoverEstimator::new(system.num_elements(), system.num_sets(), k, alpha, &config);
     let t0 = Instant::now();
     if config.shards > 1 {
-        est.ingest_sharded(&edges, config.shards, batch.unwrap_or(1024));
+        est.ingest_sharded(&edges, config.shards, batch);
     } else {
-        for chunk in edges.chunks(batch.unwrap_or(1024)) {
+        for chunk in edges.chunks(batch) {
             est.observe_batch(chunk);
         }
     }
     let wall_ns = t0.elapsed().as_nanos() as u64;
-    let times = est.time_ledger_tree();
-    let mut violations = times.audit();
-    // Conservation against the measured wall clock: every attributed
-    // interval nests inside the ingest wall, at most `threads` lanes
-    // overlap within a replica, and `shards` replicas run concurrently.
-    let budget = wall_ns
-        .saturating_mul(config.threads.max(1) as u64)
-        .saturating_mul(config.shards.max(1) as u64);
-    if times.total_ns() > budget {
-        violations.push(format!(
-            "time ledger attributes {} ns but the ingest wall budget is {budget} ns \
-             ({wall_ns} ns x {} thread(s) x {} shard(s))",
-            times.total_ns(),
-            config.threads.max(1),
-            config.shards.max(1)
-        ));
-    }
-    if folded {
-        print!("{}", times.folded());
-    } else {
-        println!("live run       = {} edges, k={k}, alpha={alpha}", edges.len());
-        println!("time nodes     = {}", times.rows().len());
-        println!();
-        print!("{}", times.report(top));
-        println!();
-    }
-    if violations.is_empty() {
-        if !folded {
-            println!("time invariants OK");
-        }
-        Ok(())
-    } else {
-        for v in &violations {
-            eprintln!("invariant violated: {v}");
-        }
-        Err(format!("{} time invariant(s) violated", violations.len()))
-    }
-}
-
-fn cmd_prof_trace(path: &str, top: usize) -> Result<(), String> {
-    let t = parse_trace(path)?;
-    if t.ledger_rows.is_empty() {
-        return Err(format!(
-            "trace {path} contains no ledger events (written by --trace since the \
-             space-attribution ledger landed; re-run the traced command)"
-        ));
-    }
-    println!("trace          = {path}");
-    println!("ledger nodes   = {}", t.ledger_rows.len());
-    println!();
-    print!("{}", render_ledger_report(&t.ledger_rows, top));
-    let violations = ledger_invariant_violations(&t);
-    println!();
-    if violations.is_empty() {
-        println!("ledger invariants OK");
-        Ok(())
-    } else {
-        for v in &violations {
-            eprintln!("invariant violated: {v}");
-        }
-        Err(format!(
-            "{} ledger invariant(s) violated in {path}",
-            violations.len()
-        ))
-    }
-}
-
-fn cmd_prof_live(flags: &HashMap<String, String>, top: usize) -> Result<(), String> {
-    let system = load(flags)?;
-    let k: usize = parse_num(req(flags, "k")?, "k")?;
-    let alpha: f64 = parse_num(req(flags, "alpha")?, "alpha")?;
-    let order = parse_order(flags)?;
-    let config = parse_config(flags)?;
-    let batch = parse_batch(flags)?;
-    let edges = edge_stream(&system, order);
-    let mut est =
-        MaxCoverEstimator::new(system.num_elements(), system.num_sets(), k, alpha, &config);
-    if config.shards > 1 {
-        est.ingest_sharded(&edges, config.shards, batch.unwrap_or(1024));
-    } else {
-        for chunk in edges.chunks(batch.unwrap_or(1024)) {
-            est.observe_batch(chunk);
-        }
-    }
     let ledger = est.space_ledger_tree();
-    println!("live run       = {} edges, k={k}, alpha={alpha}", edges.len());
-    println!("ledger nodes   = {}", ledger.rows().len());
-    println!();
-    print!("{}", ledger.report(top));
-    println!();
     let mut violations = ledger.audit();
-    let (total, expected) = (ledger.total_words(), est.space_words() as u64);
-    if total != expected {
+    let (words, expected) = (ledger.total_words(), est.space_words() as u64);
+    if words != expected {
         violations.push(format!(
-            "ledger attributes {total} words but space_words reports {expected}"
+            "ledger attributes {words} words but space_words reports {expected}"
         ));
     }
-    if violations.is_empty() {
-        println!("ledger invariants OK");
-        Ok(())
-    } else {
-        for v in &violations {
-            eprintln!("invariant violated: {v}");
-        }
-        Err(format!("{} ledger invariant(s) violated", violations.len()))
+    // Every attributed interval nests inside the ingest wall, at most
+    // `threads` lanes overlap within a replica, and `shards` replicas
+    // run concurrently.
+    let (threads, shards) = (config.threads.max(1), config.shards.max(1));
+    let budget = wall_ns
+        .saturating_mul(threads as u64)
+        .saturating_mul(shards as u64);
+    if ledger.total_ns() > budget {
+        violations.push(format!(
+            "ledger attributes {} ns but the ingest wall budget is {budget} ns \
+             ({wall_ns} ns x {threads} thread(s) x {shards} shard(s))",
+            ledger.total_ns()
+        ));
     }
+    let banner = format!("live run       = {} edges, k={k}, alpha={alpha}", edges.len());
+    Ok((banner, ledger.rows(), violations))
 }
 
-fn cmd_trace_summarize(path: &str) -> Result<(), String> {
+fn cmd_trace_summarize(path: &str, out: &mut dyn Write) -> Result<(), String> {
     let t = parse_trace(path)?;
     if t.lines == 0 {
         return Err(format!("trace {path} contains no events"));
     }
-    println!("trace          = {path}");
-    println!("events         = {}", t.lines);
+    outln!(out, "trace          = {path}");
+    outln!(out, "events         = {}", t.lines);
     if !t.phases.is_empty() {
-        println!();
-        println!("phase                    calls      total ns");
+        outln!(out);
+        outln!(out, "phase                    calls      total ns");
         for (name, (calls, ns)) in &t.phases {
-            println!("  {name:<22} {calls:>5}  {ns:>12}");
+            outln!(out, "  {name:<22} {calls:>5}  {ns:>12}");
         }
     }
     if let Some((est, words, edges)) = t.summary {
-        println!();
-        println!("summary estimate         = {est:.1}");
-        println!("summary space (words)    = {words}");
-        println!("summary edges            = {edges}");
+        outln!(out);
+        outln!(out, "summary estimate         = {est:.1}");
+        outln!(out, "summary space (words)    = {words}");
+        outln!(out, "summary edges            = {edges}");
         if t.subroutines > 0 {
-            println!(
+            outln!(
+                out,
                 "subroutine space (words) = {} across {} subroutines",
                 t.subroutine_space, t.subroutines
             );
         }
     }
     if !t.beats.is_empty() {
-        println!();
-        println!("heartbeats (fills and cumulative lane ns summed over lanes)");
-        println!("  stage     shard    at_edges  lanes   lc_fill   ls_fill   ss_fill  evictions     space            ns");
+        outln!(out);
+        outln!(out, "heartbeats (fills and cumulative lane ns summed over lanes)");
+        outln!(out, "  stage     shard    at_edges  lanes   lc_fill   ls_fill   ss_fill  evictions     space            ns");
         for ((stage, shard, at), row) in &t.beats {
-            println!(
+            outln!(
+                out,
                 "  {stage:<8} {shard:>6}  {at:>10}  {lanes:>5}  {lc:>8}  {ls:>8}  {ss:>8}  {ev:>9}  {sp:>8}  {ns:>12}",
                 lanes = row.lanes,
                 lc = row.lc_fill,
@@ -1621,19 +1528,20 @@ fn cmd_trace_summarize(path: &str) -> Result<(), String> {
             );
         }
     }
-    if !t.time_rows.is_empty() {
-        println!();
-        println!("time ledger ({} nodes; prof --time for the full report)", t.time_rows.len());
+    if !t.ledger_rows.is_empty() {
+        outln!(out);
+        outln!(out, "ledger ({} nodes; prof [--time] for the full report)", t.ledger_rows.len());
         for (stage, root, threads, ns) in &t.time_meta {
-            println!("  stage {stage:<9} root {root:<10} threads {threads}  {ns:>12} ns attributed");
+            outln!(out, "  stage {stage:<9} root {root:<10} threads {threads}  {ns:>12} ns attributed");
         }
     }
     if !t.histograms.is_empty() {
-        println!();
-        println!("histogram                   count         sum        mean       p50       p90       p99       max");
+        outln!(out);
+        outln!(out, "histogram                   count         sum        mean       p50       p90       p99       max");
         for (name, h) in &t.histograms {
             let q = |p: f64| h.quantile(p).unwrap_or(0);
-            println!(
+            outln!(
+                out,
                 "  {name:<24} {count:>8}  {sum:>10}  {mean:>10.1}  {p50:>8}  {p90:>8}  {p99:>8}  {max:>8}",
                 count = h.count(),
                 sum = h.sum(),
@@ -1646,10 +1554,10 @@ fn cmd_trace_summarize(path: &str) -> Result<(), String> {
         }
     }
     let mut violations = trace_invariant_violations(&t);
-    violations.extend(time_invariant_violations(&t));
-    println!();
+    violations.extend(ledger_invariant_violations(&t));
+    outln!(out);
     if violations.is_empty() {
-        println!("invariants OK");
+        outln!(out, "invariants OK");
         Ok(())
     } else {
         for v in &violations {
@@ -1662,7 +1570,7 @@ fn cmd_trace_summarize(path: &str) -> Result<(), String> {
     }
 }
 
-fn cmd_setcover(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_setcover(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), String> {
     let system = load(flags)?;
     let fraction: f64 = match flags.get("fraction") {
         Some(s) => parse_num(s, "fraction")?,
@@ -1672,18 +1580,18 @@ fn cmd_setcover(flags: &HashMap<String, String>) -> Result<(), String> {
         return Err("fraction must be in [0, 1]".into());
     }
     let r = kcov_baselines::partial_set_cover(&system, fraction);
-    println!("target fraction = {fraction}");
-    println!("sets used       = {}", r.chosen.len());
-    println!("covered         = {}", r.covered);
-    println!("complete        = {}", r.complete);
-    println!("sets            = {:?}", r.chosen);
+    outln!(out, "target fraction = {fraction}");
+    outln!(out, "sets used       = {}", r.chosen.len());
+    outln!(out, "covered         = {}", r.covered);
+    outln!(out, "complete        = {}", r.complete);
+    outln!(out, "sets            = {:?}", r.chosen);
     Ok(())
 }
 
-fn cmd_report(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_report(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), String> {
     let system = load(flags)?;
-    let k: usize = parse_num(req(flags, "k")?, "k")?;
-    let alpha: f64 = parse_num(req(flags, "alpha")?, "alpha")?;
+    let k = parse_k(req(flags, "k")?)?;
+    let alpha = parse_alpha(req(flags, "alpha")?)?;
     let order = parse_order(flags)?;
     let mut config = parse_config(flags)?;
     let obs = ObsOpts::parse(flags)?;
@@ -1711,10 +1619,10 @@ fn cmd_report(flags: &HashMap<String, String>) -> Result<(), String> {
     span.finish();
     let cover = rep.finalize();
     let chosen: Vec<usize> = cover.sets.iter().map(|&s| s as usize).collect();
-    println!("reported sets  = {:?}", cover.sets);
-    println!("real coverage  = {}", coverage_of(&system, &chosen));
-    println!("estimate       = {:.1}", cover.estimate);
-    println!("winner         = {:?}", cover.winner);
-    println!("space (words)  = {}", cover.space_words);
-    obs.emit(&rec)
+    outln!(out, "reported sets  = {:?}", cover.sets);
+    outln!(out, "real coverage  = {}", coverage_of(&system, &chosen));
+    outln!(out, "estimate       = {:.1}", cover.estimate);
+    outln!(out, "winner         = {:?}", cover.winner);
+    outln!(out, "space (words)  = {}", cover.space_words);
+    obs.emit(&rec, out)
 }

@@ -266,7 +266,71 @@ fn unknown_flags_are_rejected_per_subcommand() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("duplicate flag --alpha"));
 
+    // Out-of-range --k / --alpha are typed errors (exit 1) on every
+    // subcommand that takes them, never an assert inside the estimator.
+    let k_msg = "--k must be >= 1";
+    let alpha_msg = "--alpha must be a finite number >= 1";
+    let worker_out = tmp_file("flags-worker.bin");
+    let worker_out = worker_out.to_str().unwrap();
+    let worker = ["worker", "--input", path_s, "--shards", "1", "--shard", "0", "--out", worker_out];
+    let mut cases: Vec<(Vec<&str>, &str)> = vec![
+        (vec!["gen", "--kind", "planted", "--n", "10", "--m", "5", "--out", path_s, "--k", "0"], k_msg),
+        (vec!["greedy", "--input", path_s, "--k", "0"], k_msg),
+        (vec!["exact", "--input", path_s, "--k", "0"], k_msg),
+        (vec!["budget", "--input", path_s, "--k", "0", "--words", "100000"], k_msg),
+    ];
+    for cmd in [&["estimate", "--input", path_s][..], &["report", "--input", path_s],
+        &["twopass", "--input", path_s], &["prof", "--input", path_s], &worker]
+    {
+        cases.push(([cmd, &["--k", "0", "--alpha", "4"]].concat(), k_msg));
+        for alpha in ["0.5", "nan", "inf", "-3"] {
+            cases.push(([cmd, &["--k", "5", "--alpha", alpha]].concat(), alpha_msg));
+        }
+    }
+    for (args, msg) in &cases {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        assert!(String::from_utf8_lossy(&out.stderr).contains(msg), "{args:?}");
+    }
+
     std::fs::remove_file(&path).ok();
+}
+
+/// A reader that stops early (`maxkcov prof … | head -1`) closes stdout
+/// under the writer: a clean exit, not a broken-pipe panic (exit 101).
+#[test]
+fn closed_stdout_is_a_clean_exit() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    // A well-formed trace with enough leaves that the `--top 0` report
+    // (~100 bytes a leaf) overflows any pipe buffer.
+    let leaves = 4000;
+    let trace = tmp_file("epipe.ndjson");
+    let mut ndjson = format!(
+        "{{\"seq\":0,\"kind\":\"ledger\",\"path\":\"estimator\",\"words\":{leaves},\
+         \"updates\":0,\"touched_words\":0,\"ns\":0,\"children\":{leaves}}}\n"
+    );
+    for i in 0..leaves {
+        ndjson.push_str(&format!(
+            "{{\"seq\":{},\"kind\":\"ledger\",\"path\":\"estimator/leaf{i}\",\"words\":1,\
+             \"updates\":0,\"touched_words\":0,\"ns\":0,\"children\":0}}\n",
+            i + 1
+        ));
+    }
+    std::fs::write(&trace, ndjson).unwrap();
+    let mut child = Command::new(bin())
+        .args(["prof", trace.to_str().unwrap(), "--top", "0"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn maxkcov");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap()).read_line(&mut first).unwrap();
+    assert!(first.starts_with("trace"), "{first}");
+    let out = child.wait_with_output().unwrap();
+    // Not 101 (the broken-pipe panic): a clean 0.
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    std::fs::remove_file(&trace).ok();
 }
 
 #[test]
@@ -610,7 +674,7 @@ fn prof_renders_attribution_and_audits_the_ledger() {
     let mut ndjson = std::fs::read_to_string(&trace).unwrap();
     ndjson.push_str(
         "{\"seq\":99999,\"kind\":\"ledger\",\"path\":\"estimator/bogus\",\
-         \"words\":7,\"updates\":0,\"touched_words\":0,\"children\":0}\n",
+         \"words\":7,\"updates\":0,\"touched_words\":0,\"ns\":0,\"children\":0}\n",
     );
     std::fs::write(&trace, &ndjson).unwrap();
     let out = run(&["prof", trace_s]);
@@ -702,13 +766,13 @@ fn prof_time_renders_folded_stacks_and_audits_conservation() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(!String::from_utf8_lossy(&out.stdout).trim().is_empty());
 
-    // Tampering with a single time_ledger leaf breaks the parent-sum
+    // Tampering with a single ledger leaf's ns breaks the parent-sum
     // walk: both prof --time and trace-summarize must refuse the trace.
     let ndjson = std::fs::read_to_string(&trace).unwrap();
     let mut tampered = String::new();
     let mut done = false;
     for line in ndjson.lines() {
-        if !done && line.contains("\"kind\":\"time_ledger\"") && line.contains("\"children\":0") {
+        if !done && line.contains("\"kind\":\"ledger\"") && line.contains("\"children\":0") {
             if let Some(i) = line.find("\"ns\":") {
                 let digits: String =
                     line[i + 5..].chars().take_while(char::is_ascii_digit).collect();
@@ -724,7 +788,7 @@ fn prof_time_renders_folded_stacks_and_audits_conservation() {
         tampered.push_str(line);
         tampered.push('\n');
     }
-    assert!(done, "no time_ledger leaf found to tamper with");
+    assert!(done, "no ledger leaf found to tamper with");
     std::fs::write(&trace, &tampered).unwrap();
     for args in [&["prof", trace_s, "--time"][..], &["trace-summarize", trace_s][..]] {
         let out = run(args);

@@ -246,7 +246,7 @@ fn traced_estimator_attribution_survives_wire_and_rejects_mangling() {
     for chunk in edges.chunks(64) {
         est.observe_batch(chunk);
     }
-    let before = est.time_ledger_tree();
+    let before = est.space_ledger_tree();
     assert!(
         before.root.total_ns() > 0,
         "traced ingestion accumulated no attribution — sidecars would be vacuous"
@@ -254,14 +254,14 @@ fn traced_estimator_attribution_survives_wire_and_rejects_mangling() {
 
     let decoded = MaxCoverEstimator::from_bytes(&est.to_bytes())
         .expect("traced estimator must round-trip");
-    let after = decoded.time_ledger_tree();
+    let after = decoded.space_ledger_tree();
     assert_eq!(
         after.root.total_ns(),
         before.root.total_ns(),
         "total attribution changed across the wire"
     );
     for (name, node) in before.root.children() {
-        let got = after.root.get(name).map_or(0, maxkcov::obs::TimeNode::total_ns);
+        let got = after.root.get(name).map_or(0, maxkcov::obs::LedgerNode::total_ns);
         assert_eq!(got, node.total_ns(), "subtree '{name}' ns changed across the wire");
     }
 
