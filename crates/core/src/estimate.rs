@@ -134,11 +134,13 @@ struct Lane {
 
 impl Lane {
     /// Feed one chunk through this lane given the estimator's shared
-    /// columns (hashed once against the *raw* stream): `umix` is the
-    /// lane-invariant universe mix already applied to the element
-    /// fingerprints, so reduction is one widening multiply per edge
-    /// (into the caller's scratch buffer); the reduced chunk plus the
-    /// set-fingerprint column then drive the oracle's batched path.
+    /// columns (hashed once against the *raw* stream). A lane on the
+    /// shared mix reads `block.umix`, the lane-invariant universe mix
+    /// already applied to the element fingerprints, so reduction is one
+    /// widening multiply per edge; a lane with a private mix (pass 2 of
+    /// the two-pass extension) mixes `block.fp_elem` itself. Either way
+    /// the reduced chunk lands in the caller's scratch buffer and, with
+    /// the set-fingerprint column, drives the oracle's batched path.
     /// Set ids pass through universe reduction unchanged, so one
     /// `fp_set` column serves every lane.
     /// When `timed`, the chunk is bracketed by the lane's only clock
@@ -148,15 +150,18 @@ impl Lane {
     fn ingest_fp(
         &mut self,
         edges: &[Edge],
-        fp_set: &[u64],
-        umix: &[u64],
+        block: &FingerprintBlock,
         scratch: &mut Vec<Edge>,
         timed: bool,
     ) {
         let start = timed.then(Instant::now);
-        self.reducer.map_premixed_batch(edges, umix, scratch);
+        if self.reducer.shares_mix() {
+            self.reducer.map_premixed_batch(edges, &block.umix, scratch);
+        } else {
+            self.reducer.map_fp_batch(edges, &block.fp_elem, scratch);
+        }
         let reduced_at = start.map(|_| Instant::now());
-        self.oracle.observe_fp_batch(scratch, fp_set);
+        self.oracle.observe_fp_batch(scratch, &block.fp_set);
         if let (Some(start), Some(reduced_at)) = (start, reduced_at) {
             self.times.reduce_ns += (reduced_at - start).as_nanos() as u64;
             self.times.ingest_ns += start.elapsed().as_nanos() as u64;
@@ -172,6 +177,20 @@ impl Lane {
         );
         self.oracle.merge(&other.oracle);
         self.times.merge(&other.times);
+    }
+
+    /// Attribute this lane under `node`: the `reducer` subtree, then the
+    /// oracle's `set_base` and subroutine subtrees. Each half takes its
+    /// own measured bracket, split by heat over its own leaves
+    /// ([`LedgerNode::apportion_ns`]).
+    fn space_ledger(&self, node: &mut LedgerNode) {
+        let r = node.child("reducer");
+        self.reducer.space_ledger(r);
+        r.apportion_ns(self.times.reduce_ns);
+        let mut o = LedgerNode::new();
+        self.oracle.space_ledger(&mut o);
+        o.apportion_ns(self.times.oracle_ns());
+        node.adopt(o);
     }
 }
 
@@ -341,25 +360,8 @@ impl MaxCoverEstimator {
         assert!(alpha >= 1.0, "alpha must be >= 1");
         // Fig 1 line 1: trivial regime.
         if (k as f64) * alpha >= m as f64 {
-            return MaxCoverEstimator {
-                n,
-                m,
-                k,
-                alpha,
-                threads: config.threads.max(1),
-                trivial: Some(TrivialState::new(m, k, config.seed ^ 0x7121a1)),
-                fps: None,
-                block: FingerprintBlock::default(),
-                lanes: Vec::new(),
-                rec: config.recorder.clone(),
-                edges_seen: 0,
-                heartbeat_every: config.effective_heartbeat(),
-                shard_id: 0,
-                heartbeats: Vec::new(),
-                hists: IngestHists::default(),
-                last_stats: SketchStats::default(),
-                times: StageTimes::default(),
-            };
+            let trivial = TrivialState::new(m, k, config.seed ^ 0x7121a1);
+            return Self::assemble((n, m, k, alpha), config, Some(trivial), None, Vec::new());
         }
         let mut seq = kcov_hash::SeedSequence::labeled(config.seed, "estimate-max-cover");
         // Hash-once front end: one estimator-global fingerprint pair per
@@ -393,32 +395,61 @@ impl MaxCoverEstimator {
             };
             let reps = config.reps.unwrap_or(params.reduction_reps).max(1);
             for _ in 0..reps {
-                lanes.push(Lane {
-                    z,
-                    reducer: UniverseReducer::with_shared_mix(
-                        z,
-                        umix.clone(),
-                        fps.elem_base().clone(),
-                    ),
-                    oracle: Oracle::with_base(
+                lanes.push((
+                    UniverseReducer::with_shared_mix(z, umix.clone(), fps.elem_base().clone()),
+                    Oracle::with_base(
                         z as usize,
                         &params,
                         config.reporting,
                         seq.next_seed(),
                         fps.set_base().clone(),
                     ),
-                    times: LaneTimes::default(),
-                });
+                ));
             }
         }
+        Self::from_parts((n, m, k, alpha), config, fps, lanes)
+    }
+
+    /// Assemble a fresh non-trivial estimator around prebuilt lanes, one
+    /// `(reducer, oracle)` pair per lane with the lane's `z` read off the
+    /// reducer. Either every reducer shares one mix (the single-pass
+    /// grid) or every reducer owns its own (pass 2 of the two-pass
+    /// extension, whose repetitions reduce the universe independently);
+    /// the batched engine, space accounting and the ledger's `universe`
+    /// leaf follow the lanes' choice.
+    pub(crate) fn from_parts(
+        shape: (usize, usize, usize, f64),
+        config: &EstimatorConfig,
+        fps: EdgeFingerprints,
+        lanes: Vec<(UniverseReducer, Oracle)>,
+    ) -> Self {
+        let lanes = lanes
+            .into_iter()
+            .map(|(reducer, oracle)| Lane {
+                z: reducer.z(),
+                reducer,
+                oracle,
+                times: LaneTimes::default(),
+            })
+            .collect();
+        Self::assemble(shape, config, None, Some(fps), lanes)
+    }
+
+    fn assemble(
+        (n, m, k, alpha): (usize, usize, usize, f64),
+        config: &EstimatorConfig,
+        trivial: Option<TrivialState>,
+        fps: Option<EdgeFingerprints>,
+        lanes: Vec<Lane>,
+    ) -> Self {
         MaxCoverEstimator {
             n,
             m,
             k,
             alpha,
             threads: config.threads.max(1),
-            trivial: None,
-            fps: Some(fps),
+            trivial,
+            fps,
             block: FingerprintBlock::default(),
             lanes,
             rec: config.recorder.clone(),
@@ -430,6 +461,12 @@ impl MaxCoverEstimator {
             last_stats: SketchStats::default(),
             times: StageTimes::default(),
         }
+    }
+
+    /// The reducer whose mix every lane shares, or `None` when the lanes
+    /// mix privately (or there are none).
+    fn shared_mix(&self) -> Option<&UniverseReducer> {
+        self.lanes.first().map(|l| &l.reducer).filter(|r| r.shares_mix())
     }
 
     /// Observe one `(set, element)` edge.
@@ -520,19 +557,19 @@ impl MaxCoverEstimator {
             self.times.hash_ns += start.elapsed().as_nanos() as u64;
         }
         // Lane-invariant universe mix: one column for every lane.
-        if let Some(first) = self.lanes.first() {
+        if let Some(mix) = self.shared_mix() {
             let start = timed.then(Instant::now);
-            first.reducer.mix_batch(&block.fp_elem, &mut block.umix);
+            mix.mix_batch(&block.fp_elem, &mut block.umix);
             if let Some(start) = start {
                 self.times.universe_ns += start.elapsed().as_nanos() as u64;
             }
         }
-        let (fp_set, umix) = (&block.fp_set[..], &block.umix[..]);
+        let block_ref = &block;
         let threads = self.threads.clamp(1, self.lanes.len().max(1));
         if threads <= 1 {
             let mut scratch = Vec::with_capacity(edges.len());
             for lane in &mut self.lanes {
-                lane.ingest_fp(edges, fp_set, umix, &mut scratch, timed);
+                lane.ingest_fp(edges, block_ref, &mut scratch, timed);
             }
         } else {
             let shard = self.lanes.len().div_ceil(threads);
@@ -541,7 +578,7 @@ impl MaxCoverEstimator {
                     s.spawn(move || {
                         let mut scratch = Vec::with_capacity(edges.len());
                         for lane in chunk {
-                            lane.ingest_fp(edges, fp_set, umix, &mut scratch, timed);
+                            lane.ingest_fp(edges, block_ref, &mut scratch, timed);
                         }
                     });
                 }
@@ -796,8 +833,7 @@ impl MaxCoverEstimator {
     /// stream state.
     fn record_snapshot(&self, outcome: &EstimateOutcome) {
         let rec = &self.rec;
-        telemetry::emit_heartbeats(rec, "estimate", &self.heartbeats);
-        self.hists.emit(rec, "ingest");
+        self.record_ingest("estimate", "ingest");
         if let Some(t) = &self.trivial {
             rec.event(
                 "subroutine",
@@ -822,7 +858,7 @@ impl MaxCoverEstimator {
                 ],
             );
         }
-        if let Some(lane) = self.lanes.first() {
+        if let Some(mix) = self.shared_mix() {
             // The lane-invariant universe-reduction mix, shared by every
             // lane and attributed once (lanes count 1-word handles).
             rec.event(
@@ -831,7 +867,7 @@ impl MaxCoverEstimator {
                     ("lane", Value::from(0u64)),
                     ("name", Value::from("universe")),
                     ("estimate", Value::from(f64::NAN)),
-                    ("space_words", Value::from(lane.reducer.mix_words())),
+                    ("space_words", Value::from(mix.mix_words())),
                 ],
             );
         }
@@ -886,37 +922,53 @@ impl MaxCoverEstimator {
         rec.incr("edges.total", self.edges_seen);
         rec.incr("lanes.total", self.lanes.len() as u64);
         // Attribution ledger, emitted after every pre-existing event so
-        // their sequence numbers are untouched. Its finalize contract
-        // (DESIGN.md §13): leaves-only attribution (audited), the exact
-        // word sum — a word the tree misses (or double-counts) is a bug,
-        // not a rounding artifact — and ns conservation: the apportioned
-        // total can never exceed the measured batch wall clock times the
-        // worker-thread count, because every attributed interval nests
-        // inside a batch interval and at most `threads` lanes overlap.
-        let ledger = self.space_ledger_tree();
+        // their sequence numbers are untouched.
+        self.record_ledger("estimator", "estimate", outcome.space_words);
+    }
+
+    /// Emit the buffered heartbeats (tagged `stage`) and the ingestion
+    /// histograms (named `<prefix>.*`).
+    pub(crate) fn record_ingest(&self, stage: &str, prefix: &str) {
+        telemetry::emit_heartbeats(&self.rec, stage, &self.heartbeats);
+        self.hists.emit(&self.rec, prefix);
+    }
+
+    /// Emit the attribution ledger under `root`, then its
+    /// `time_ledger_meta` event for `stage`. The finalize contract
+    /// (DESIGN.md §13): leaves-only attribution (audited), the exact
+    /// word sum `space_words` — a word the tree misses (or
+    /// double-counts) is a bug, not a rounding artifact — and ns
+    /// conservation: the apportioned total can never exceed the
+    /// measured batch wall clock times the worker-thread count, because
+    /// every attributed interval nests inside a batch interval and at
+    /// most `threads` lanes overlap.
+    pub(crate) fn record_ledger(&self, root: &str, stage: &str, space_words: usize) {
+        let mut ledger = Ledger::new(root);
+        self.space_ledger(&mut ledger.root);
         assert!(
             ledger.audit().is_empty(),
-            "ledger schema violations: {:?}",
+            "{root} ledger schema violations: {:?}",
             ledger.audit()
         );
         assert_eq!(
             ledger.total_words(),
-            outcome.space_words as u64,
-            "ledger must attribute every resident word exactly"
+            space_words as u64,
+            "{root} ledger must attribute every resident word exactly"
         );
         let ns = ledger.total_ns();
-        let budget = self.hists.batch_ns.sum().saturating_mul(self.threads.max(1) as u64);
+        let threads = self.threads.max(1) as u64;
+        let budget = self.hists.batch_ns.sum().saturating_mul(threads);
         assert!(
             ns <= budget,
-            "ledger attributes {ns} ns against a wall budget of {budget} ns"
+            "{root} ledger attributes {ns} ns against a wall budget of {budget} ns"
         );
-        ledger.emit(rec);
-        rec.event(
+        ledger.emit(&self.rec);
+        self.rec.event(
             "time_ledger_meta",
             &[
-                ("stage", Value::from("estimate")),
-                ("root", Value::from(ledger.name())),
-                ("threads", Value::from(self.threads.max(1) as u64)),
+                ("stage", Value::from(stage)),
+                ("root", Value::from(root)),
+                ("threads", Value::from(threads)),
                 ("ns", Value::from(ns)),
             ],
         );
@@ -989,6 +1041,16 @@ impl MaxCoverEstimator {
         &self.lanes[idx].oracle
     }
 
+    /// Every lane's `z`, in lane order.
+    pub(crate) fn lane_zs(&self) -> impl Iterator<Item = u64> + '_ {
+        self.lanes.iter().map(|l| l.z)
+    }
+
+    /// The attached observability recorder.
+    pub(crate) fn recorder(&self) -> &Recorder {
+        &self.rec
+    }
+
     /// The trivial branch's best Observation-2.4 group, when active.
     pub(crate) fn trivial_best_group(&self) -> Option<Vec<u32>> {
         self.trivial.as_ref().map(|t| t.best_group_sets(self.m))
@@ -1052,25 +1114,6 @@ impl MaxCoverEstimator {
         self.space_ledger(&mut ledger.root);
         ledger
     }
-}
-
-/// Attribute one `(z, rep)` lane under `node`: the `reducer` subtree,
-/// then the oracle's `set_base` and subroutine subtrees. Each half
-/// takes its own measured bracket, split by heat over its own leaves
-/// ([`LedgerNode::apportion_ns`]).
-pub(crate) fn lane_ledger(
-    node: &mut LedgerNode,
-    reducer: &UniverseReducer,
-    oracle: &Oracle,
-    times: LaneTimes,
-) {
-    let r = node.child("reducer");
-    reducer.space_ledger(r);
-    r.apportion_ns(times.reduce_ns);
-    let mut o = LedgerNode::new();
-    oracle.space_ledger(&mut o);
-    o.apportion_ns(times.oracle_ns());
-    node.adopt(o);
 }
 
 // ---- wire format ----------------------------------------------------
@@ -1225,6 +1268,12 @@ impl kcov_sketch::WireEncode for MaxCoverEstimator {
                     return Err(err("estimator lane count exceeds input"));
                 }
                 let lanes = (0..num).map(|_| Lane::decode(&mut state)).collect::<Result<Vec<_>, _>>()?;
+                // The batched engine evaluates the shared mix column only
+                // when the first lane asks for it, so a mixed arrangement
+                // would starve the lanes that read it.
+                if lanes.iter().any(|l| l.reducer.shares_mix() != lanes[0].reducer.shares_mix()) {
+                    return Err(err("estimator lanes disagree on sharing the universe mix"));
+                }
                 (None, Some(fps), lanes)
             }
             flag => return Err(err(format!("bad estimator regime flag {flag}"))),
@@ -1272,7 +1321,7 @@ impl SpaceUsage for MaxCoverEstimator {
             + self.fps.as_ref().map_or(0, SpaceUsage::space_words)
             // The shared universe mix, counted once (each lane's reducer
             // carries a 1-word handle).
-            + self.lanes.first().map_or(0, |l| l.reducer.mix_words())
+            + self.shared_mix().map_or(0, UniverseReducer::mix_words)
             + self
                 .lanes
                 .iter()
@@ -1299,13 +1348,13 @@ impl SpaceUsage for MaxCoverEstimator {
             fps.space_ledger(f);
             f.apportion_ns(self.times.hash_ns);
         }
-        if let Some(lane) = self.lanes.first() {
+        if let Some(mix) = self.shared_mix() {
             let u = node.child("universe");
-            u.words += lane.reducer.mix_words() as u64;
+            u.words += mix.mix_words() as u64;
             u.ns += self.times.universe_ns;
         }
         for (i, lane) in self.lanes.iter().enumerate() {
-            lane_ledger(node.child(&format!("lane{i}")), &lane.reducer, &lane.oracle, lane.times);
+            lane.space_ledger(node.child(&format!("lane{i}")));
         }
     }
 }
@@ -1675,6 +1724,16 @@ mod tests {
             est.trivial.as_ref().unwrap().space_words() as u64
         );
         assert!(trivial.total_updates() > 0, "trivial L0s carry heat");
+    }
+
+    #[test]
+    fn decode_rejects_lanes_that_disagree_on_the_universe_mix() {
+        use kcov_sketch::WireEncode;
+        let mut est = MaxCoverEstimator::new(800, 120, 8, 3.0, &fast_config(5, 800));
+        let base = est.fps.as_ref().unwrap().elem_base().clone();
+        est.lanes[0].reducer = UniverseReducer::with_base(est.lanes[0].z, 9, base);
+        let err = MaxCoverEstimator::from_bytes(&est.to_bytes()).unwrap_err();
+        assert!(err.to_string().contains("disagree on sharing the universe mix"), "{err}");
     }
 
     #[test]

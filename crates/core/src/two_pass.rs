@@ -14,19 +14,25 @@
 //!
 //! Space drops from `Õ(log n · m/α²)` to `Õ(m/α²)` per pass, and the
 //! lone oracle can afford more repetitions for the same footprint.
+//!
+//! Pass 2 is Fig 1's construction at one `z`, so it runs on the
+//! estimator's own engine: [`TwoPassSecond`] wraps a
+//! [`MaxCoverEstimator`] whose lanes are the pass-2 repetitions, and
+//! inherits its per-edge and batched ingestion, `--threads` lane
+//! sharding, stream sharding, merge, heartbeats and attribution ledger.
+//! The one difference is that each repetition reduces the universe with
+//! its own mix instead of the estimator's shared one. On the wire, a
+//! pass-2 replica is the `TWOPASS` root carrying `(k, z, ẑ-estimate)`
+//! around a nested estimator replica (DESIGN.md §11).
 
-use std::time::Instant;
-
-use kcov_obs::{Ledger, Recorder, SketchStats};
 use kcov_sketch::SpaceUsage;
 use kcov_stream::Edge;
 
-use crate::estimate::{lane_ledger, EstimatorConfig, MaxCoverEstimator};
-use crate::fingerprint::{EdgeFingerprints, FingerprintBlock};
+use crate::estimate::{EstimatorConfig, MaxCoverEstimator};
+use crate::fingerprint::EdgeFingerprints;
 use crate::oracle::Oracle;
 use crate::params::{ParamMode, Params};
 use crate::report::ReportedCover;
-use crate::telemetry::{self, HeartbeatSnap, IngestHists, LaneBeat, LaneTimes, StageTimes};
 use crate::universe::UniverseReducer;
 
 /// Pass 1: estimate the optimal coverage size.
@@ -107,7 +113,8 @@ impl TwoPassFirst {
         // Oversample the guess by 4× (the estimate is a lower bound on
         // OPT up to the approximation factor; Lemma 3.5 tolerates
         // |S| ≥ z, so a modestly large z only costs constants).
-        let z = (4 * guess).next_power_of_two().clamp(4, 2 * self.n as u64);
+        // `z` never exceeds `2n`, so a one-element universe gets z = 2.
+        let z = (4 * guess).next_power_of_two().max(4).min(2 * self.n as u64);
         let params = match self.config.mode {
             ParamMode::Paper => Params::paper(self.m, z as usize, self.k, self.alpha),
             ParamMode::Practical => Params::practical(self.m, z as usize, self.k, self.alpha),
@@ -138,51 +145,24 @@ impl TwoPassFirst {
             k: self.k,
             z,
             pass1_estimate: out.estimate,
-            fps,
-            block: FingerprintBlock::default(),
-            lanes,
-            rec: self.config.recorder.clone(),
-            edges_seen: 0,
-            heartbeat_every: self.config.effective_heartbeat(),
-            shard_id: 0,
-            heartbeats: Vec::new(),
-            hists: IngestHists::default(),
-            last_stats: SketchStats::default(),
-            times: StageTimes::default(),
-            lane_times: vec![LaneTimes::default(); reps],
+            est: MaxCoverEstimator::from_parts(
+                (self.n, self.m, self.k, self.alpha),
+                &self.config,
+                fps,
+                lanes,
+            ),
         }
     }
 }
 
-/// Pass 2: a single tuned, reporting oracle (repeated for confidence).
+/// Pass 2: a single tuned, reporting oracle (repeated for confidence),
+/// run as an estimator whose every lane sits at the tuned `z`.
 #[derive(Debug, Clone)]
 pub struct TwoPassSecond {
     k: usize,
     z: u64,
     pass1_estimate: f64,
-    /// The pass-2 hash-once front end: one fingerprint pair per raw
-    /// edge, shared by every repetition lane.
-    fps: EdgeFingerprints,
-    /// Reusable fingerprint-column scratch (never serialized or merged).
-    block: FingerprintBlock,
-    lanes: Vec<(UniverseReducer, Oracle)>,
-    rec: Recorder,
-    edges_seen: u64,
-    /// Heartbeat cadence in shard-local edges (0 = off); same contract
-    /// as the single-pass estimator (see `telemetry` module docs).
-    heartbeat_every: u64,
-    shard_id: u64,
-    heartbeats: Vec<HeartbeatSnap>,
-    hists: IngestHists,
-    last_stats: SketchStats,
-    /// Batch-granular wall totals for the shared fingerprint fill
-    /// (pass 2 has no shared universe mix or trivial branch, so only
-    /// `hash_ns` is populated).
-    times: StageTimes,
-    /// Batch-granular wall totals per repetition lane, parallel to
-    /// `lanes` (the lanes are plain tuples, so the time state rides in
-    /// a sibling vector).
-    lane_times: Vec<LaneTimes>,
+    est: MaxCoverEstimator,
 }
 
 impl TwoPassSecond {
@@ -193,181 +173,61 @@ impl TwoPassSecond {
 
     /// Observe one edge of pass 2 (hash once, share across lanes).
     pub fn observe(&mut self, edge: Edge) {
-        self.edges_seen += 1;
-        let (fp_set, fp_elem) = self.fps.fingerprint(edge);
-        for (reducer, oracle) in &mut self.lanes {
-            oracle.observe_fp(Edge::new(edge.set, reducer.map_fp(fp_elem) as u32), fp_set);
-        }
-        if self.heartbeat_every != 0 && self.edges_seen.is_multiple_of(self.heartbeat_every) {
-            self.capture_heartbeat();
-        }
+        self.est.observe(edge);
     }
 
-    /// Observe a chunk of pass-2 edges: each repetition lane reduces and
-    /// consumes the chunk in arrival order (bit-identical to repeated
-    /// [`TwoPassSecond::observe`]).
+    /// Observe a chunk of pass-2 edges through the estimator's batched
+    /// engine (bit-identical to repeated [`TwoPassSecond::observe`] at
+    /// any chunking and thread count).
     pub fn observe_batch(&mut self, edges: &[Edge]) {
-        if edges.is_empty() {
-            return;
-        }
-        // Same batch-granular timing contract as the single-pass
-        // estimator: a handful of monotonic reads per chunk (never per
-        // edge), none at all while the recorder is disabled.
-        let timed = self.rec.is_enabled();
-        let start = timed.then(Instant::now);
-        let seen_before = self.edges_seen;
-        self.edges_seen += edges.len() as u64;
-        let mut block = std::mem::take(&mut self.block);
-        self.fps.fill_block(edges, &mut block);
-        if let Some(start) = start {
-            self.times.hash_ns += start.elapsed().as_nanos() as u64;
-        }
-        let mut scratch = Vec::with_capacity(edges.len());
-        for ((reducer, oracle), times) in self.lanes.iter_mut().zip(&mut self.lane_times) {
-            let lane_start = timed.then(Instant::now);
-            reducer.map_fp_batch(edges, &block.fp_elem, &mut scratch);
-            let reduced_at = lane_start.map(|_| Instant::now());
-            oracle.observe_fp_batch(&scratch, &block.fp_set);
-            if let (Some(lane_start), Some(reduced_at)) = (lane_start, reduced_at) {
-                times.reduce_ns += (reduced_at - lane_start).as_nanos() as u64;
-                times.ingest_ns += lane_start.elapsed().as_nanos() as u64;
-            }
-        }
-        self.block = block;
-        if let Some(start) = start {
-            self.hists.batch_edges.record(edges.len() as u64);
-            self.hists.batch_ns.record(start.elapsed().as_nanos() as u64);
-        }
-        if telemetry::crosses_beat(seen_before, edges.len() as u64, self.heartbeat_every) {
-            self.capture_heartbeat();
-        }
-    }
-
-    /// Snapshot every repetition lane's fill state into the
-    /// replica-local heartbeat buffer (same contract as
-    /// `MaxCoverEstimator::capture_heartbeat`; `z` reports the tuned
-    /// pseudo-universe shared by all lanes).
-    fn capture_heartbeat(&mut self) {
-        let mut lanes = Vec::with_capacity(self.lanes.len());
-        let mut total = SketchStats::default();
-        for (i, (reducer, oracle)) in self.lanes.iter().enumerate() {
-            let (lc, ls, ss) = oracle.heartbeat_stats();
-            let ss = ss.unwrap_or_default();
-            let mut agg = lc;
-            agg.absorb(ls);
-            agg.absorb(ss);
-            lanes.push(LaneBeat {
-                lane: i as u64,
-                z: self.z,
-                lc_fill: lc.fill,
-                ls_fill: ls.fill,
-                ss_fill: ss.fill,
-                evictions: agg.evictions,
-                space_words: (oracle.space_words() + reducer.space_words()) as u64,
-                ns: self.lane_times.get(i).map_or(0, |t| t.ingest_ns),
-            });
-            total.absorb(agg);
-        }
-        self.hists.record_beat_delta(total, &mut self.last_stats);
-        self.heartbeats.push(HeartbeatSnap {
-            shard: self.shard_id,
-            at_edges: self.edges_seen,
-            lanes,
-        });
+        self.est.observe_batch(edges);
     }
 
     /// Merge another pass-2 state derived from the same pass-1 guess
-    /// and seed: every repetition lane's oracle is merged; reducers are
-    /// checked to compute the same universe map.
+    /// and seed (delegates to [`MaxCoverEstimator::merge`]).
     pub fn merge(&mut self, other: &Self) {
         assert_eq!(
-            (self.k, self.z, self.lanes.len(), self.pass1_estimate.to_bits()),
-            (other.k, other.z, other.lanes.len(), other.pass1_estimate.to_bits()),
+            (self.k, self.z, self.pass1_estimate.to_bits()),
+            (other.k, other.z, other.pass1_estimate.to_bits()),
             "TwoPassSecond merge requires identical configuration (pass-1 guess)"
         );
-        assert!(
-            self.fps.same_function(&other.fps),
-            "TwoPassSecond merge requires identical hash functions (fingerprints)"
-        );
-        self.edges_seen += other.edges_seen;
-        self.heartbeats.extend(other.heartbeats.iter().cloned());
-        self.hists.merge(&other.hists);
-        self.last_stats.absorb(other.last_stats);
-        self.times.merge(&other.times);
-        for (times, other_times) in self.lane_times.iter_mut().zip(&other.lane_times) {
-            times.merge(other_times);
-        }
-        for ((reducer, oracle), (other_reducer, other_oracle)) in
-            self.lanes.iter_mut().zip(&other.lanes)
-        {
-            assert!(
-                reducer.same_function(other_reducer),
-                "TwoPassSecond merge requires identical hash functions"
-            );
-            oracle.merge(other_oracle);
-        }
+        self.est.merge(&other.est);
     }
 
-    /// Ingest pass-2 edges through sharded replicas folded back with
-    /// [`TwoPassSecond::merge`]. Must be called on a fresh pass-2 state
-    /// (straight out of [`TwoPassFirst::into_second_pass`]).
+    /// Ingest pass-2 edges through sharded replicas (see
+    /// [`MaxCoverEstimator::ingest_sharded`]). Must be called on a fresh
+    /// pass-2 state (straight out of [`TwoPassFirst::into_second_pass`]).
     pub fn ingest_sharded(&mut self, edges: &[Edge], shards: usize, batch: usize) {
-        let shards = shards.max(1);
-        if shards == 1 || edges.is_empty() {
-            for chunk in edges.chunks(batch.max(1)) {
-                self.observe_batch(chunk);
-            }
-            return;
-        }
-        let chunk_len = edges.len().div_ceil(shards);
-        let mut parts = edges.chunks(chunk_len);
-        let own = parts.next().unwrap_or(&[]);
-        let mut replicas: Vec<TwoPassSecond> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = parts
-                .enumerate()
-                .map(|(i, part)| {
-                    let mut replica = self.clone();
-                    replica.shard_id = i as u64 + 1;
-                    s.spawn(move || {
-                        for chunk in part.chunks(batch.max(1)) {
-                            replica.observe_batch(chunk);
-                        }
-                        replica
-                    })
-                })
-                .collect();
-            for chunk in own.chunks(batch.max(1)) {
-                self.observe_batch(chunk);
-            }
-            replicas.extend(handles.into_iter().map(|h| h.join().expect("shard worker panicked")));
-        });
-        for replica in &replicas {
-            self.merge(replica);
-        }
+        self.est.ingest_sharded(edges, shards, batch);
+    }
+
+    /// Attach an observability recorder after wire reconstruction (same
+    /// contract as [`MaxCoverEstimator::attach_recorder`]).
+    pub fn attach_recorder(&mut self, rec: &kcov_obs::Recorder) {
+        self.est.attach_recorder(rec);
     }
 
     /// Finish pass 2: the best repetition's reported cover.
     pub fn finalize(&self) -> ReportedCover {
-        let mut best: Option<(f64, usize, crate::Witness)> = None;
-        for (i, (_, oracle)) in self.lanes.iter().enumerate() {
-            let out = oracle.finalize();
+        let mut best: Option<(f64, usize, crate::Witness, _)> = None;
+        for lane in 0..self.est.num_lanes() {
+            let out = self.est.lane_oracle(lane).finalize();
             if let (est, Some(w)) = (out.estimate, out.witness) {
-                if best.as_ref().is_none_or(|(b, _, _)| est > *b) {
-                    best = Some((est, i, w));
+                if best.as_ref().is_none_or(|&(b, ..)| est > b) {
+                    best = Some((est, lane, w, out.winner));
                 }
             }
         }
         match best {
-            Some((est, lane, witness)) => {
-                let mut sets = self.lanes[lane].1.expand_witness(&witness);
+            Some((est, lane, witness, winner)) => {
+                let mut sets = self.est.lane_oracle(lane).expand_witness(&witness);
                 sets.truncate(self.k);
                 sets.sort_unstable();
                 sets.dedup();
                 ReportedCover {
                     sets,
                     estimate: est.max(self.pass1_estimate.min(self.z as f64)),
-                    winner: self.lanes[lane].1.finalize().winner,
+                    winner,
                     space_words: self.space_words(),
                 }
             }
@@ -379,6 +239,30 @@ impl TwoPassSecond {
             },
         }
     }
+
+    /// Emit the pass-2 observability snapshot (heartbeats, ingest
+    /// histograms, the `twopass` event, and the `pass2` ledger); a
+    /// no-op when the recorder is disabled.
+    fn record(&self, cover: &ReportedCover) {
+        let rec = self.est.recorder();
+        if !rec.is_enabled() {
+            return;
+        }
+        self.est.record_ingest("pass2", "pass2.ingest");
+        rec.event(
+            "twopass",
+            &[
+                ("z", kcov_obs::Value::from(self.z)),
+                ("estimate", kcov_obs::Value::from(cover.estimate)),
+                ("sets", kcov_obs::Value::from(cover.sets.len())),
+                ("space_words", kcov_obs::Value::from(cover.space_words)),
+                ("reps", kcov_obs::Value::from(self.est.num_lanes())),
+            ],
+        );
+        rec.gauge("twopass.z", self.z as f64);
+        rec.gauge("twopass.space_words", cover.space_words as f64);
+        self.est.record_ledger("pass2", "pass2", cover.space_words);
+    }
 }
 
 // ---- wire format ----------------------------------------------------
@@ -386,16 +270,6 @@ impl TwoPassSecond {
 /// Payload tag of a full pass-2 replica.
 pub const TAG_TWOPASS: u64 = 0x0054_574f_5041_5353; // "TWOPASS"
 const SEC_SHAPE: u64 = 0x0053_4841_5045; // "SHAPE"
-const SEC_STATE: u64 = 0x0053_5441_5445; // "STATE"
-const SEC_TELEMETRY: u64 = 0x0054_454c_454d; // "TELEM"
-
-impl TwoPassSecond {
-    /// Attach an observability recorder after wire reconstruction (same
-    /// contract as [`MaxCoverEstimator::attach_recorder`]).
-    pub fn attach_recorder(&mut self, rec: &Recorder) {
-        self.rec = rec.clone();
-    }
-}
 
 impl kcov_sketch::WireEncode for TwoPassSecond {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -405,31 +279,8 @@ impl kcov_sketch::WireEncode for TwoPassSecond {
             put_u64(out, self.k as u64);
             put_u64(out, self.z);
             put_f64(out, self.pass1_estimate);
-            put_u64(out, self.edges_seen);
-            put_u64(out, self.heartbeat_every);
-            put_u64(out, self.shard_id);
         });
-        put_section(out, SEC_STATE, |out| {
-            self.fps.encode(out);
-            put_u64(out, self.lanes.len() as u64);
-            for (reducer, oracle) in &self.lanes {
-                reducer.encode(out);
-                oracle.encode(out);
-            }
-        });
-        put_section(out, SEC_TELEMETRY, |out| {
-            put_u64(out, self.heartbeats.len() as u64);
-            for snap in &self.heartbeats {
-                snap.encode(out);
-            }
-            self.hists.encode(out);
-            self.last_stats.encode(out);
-            self.times.encode(out);
-            put_u64(out, self.lane_times.len() as u64);
-            for times in &self.lane_times {
-                times.encode(out);
-            }
-        });
+        self.est.encode(out);
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, kcov_sketch::WireError> {
@@ -437,118 +288,35 @@ impl kcov_sketch::WireEncode for TwoPassSecond {
             err, expect_section_end, take_f64, take_header, take_section, take_u64,
         };
         take_header(input, TAG_TWOPASS)?;
-
         let mut shape = take_section(input, SEC_SHAPE)?;
         let k = take_u64(&mut shape)? as usize;
         let z = take_u64(&mut shape)?;
         let pass1_estimate = take_f64(&mut shape)?;
-        let edges_seen = take_u64(&mut shape)?;
-        let heartbeat_every = take_u64(&mut shape)?;
-        let shard_id = take_u64(&mut shape)?;
         expect_section_end(SEC_SHAPE, shape)?;
-        if k < 1 || z < 1 {
-            return Err(err("pass-2 shape needs k, z >= 1"));
+        let est = MaxCoverEstimator::decode(input)?;
+        if est.shape().2 != k {
+            return Err(err(format!("pass-2 k {k} disagrees with its estimator's")));
         }
-
-        let mut state = take_section(input, SEC_STATE)?;
-        let fps = EdgeFingerprints::decode(&mut state)?;
-        let num = take_u64(&mut state)? as usize;
-        if num > state.len() {
-            return Err(err("pass-2 lane count exceeds input"));
-        }
-        let lanes = (0..num)
-            .map(|_| {
-                let reducer = UniverseReducer::decode(&mut state)?;
-                if reducer.z() != z {
-                    return Err(err(format!(
-                        "pass-2 reducer range {} disagrees with z {z}",
-                        reducer.z()
-                    )));
-                }
-                Ok((reducer, Oracle::decode(&mut state)?))
-            })
-            .collect::<Result<Vec<_>, kcov_sketch::WireError>>()?;
-        if lanes.is_empty() {
+        if est.num_lanes() == 0 {
             return Err(err("pass-2 state has no lanes"));
         }
-        expect_section_end(SEC_STATE, state)?;
-
-        let mut telem = take_section(input, SEC_TELEMETRY)?;
-        let num_snaps = take_u64(&mut telem)? as usize;
-        if num_snaps > telem.len() {
-            return Err(err("pass-2 heartbeat count exceeds input"));
+        if let Some(lane_z) = est.lane_zs().find(|&lane_z| lane_z != z) {
+            return Err(err(format!("pass-2 lane range {lane_z} disagrees with z {z}")));
         }
-        let heartbeats = (0..num_snaps)
-            .map(|_| HeartbeatSnap::decode(&mut telem))
-            .collect::<Result<Vec<_>, _>>()?;
-        let hists = IngestHists::decode(&mut telem)?;
-        let last_stats = SketchStats::decode(&mut telem)?;
-        let times = StageTimes::decode(&mut telem)?;
-        let num_lt = take_u64(&mut telem)? as usize;
-        if num_lt != lanes.len() {
-            return Err(err(format!(
-                "pass-2 lane-time count {num_lt} disagrees with {} lanes",
-                lanes.len()
-            )));
-        }
-        let lane_times = (0..num_lt)
-            .map(|_| LaneTimes::decode(&mut telem))
-            .collect::<Result<Vec<_>, _>>()?;
-        expect_section_end(SEC_TELEMETRY, telem)?;
-
-        Ok(TwoPassSecond {
-            k,
-            z,
-            pass1_estimate,
-            fps,
-            block: FingerprintBlock::default(),
-            lanes,
-            rec: Recorder::disabled(),
-            edges_seen,
-            heartbeat_every,
-            shard_id,
-            heartbeats,
-            hists,
-            last_stats,
-            times,
-            lane_times,
-        })
+        Ok(TwoPassSecond { k, z, pass1_estimate, est })
     }
 }
 
 impl SpaceUsage for TwoPassSecond {
     fn space_words(&self) -> usize {
-        self.fps.space_words()
-            + self
-                .lanes
-                .iter()
-                .map(|(r, o)| r.space_words() + o.space_words())
-                .sum::<usize>()
+        self.est.space_words()
     }
 
-    /// Same paths and ns rule as the single-pass estimator's tree
-    /// (`fingerprints`, then per lane `reducer` plus the oracle
-    /// subtrees), minus the shared `universe` mix pass 2 does not have.
+    /// The estimator's tree: `fingerprints`, then per lane `reducer`
+    /// plus the oracle subtrees (no shared `universe` leaf, since every
+    /// repetition owns its mix).
     fn space_ledger(&self, node: &mut kcov_obs::LedgerNode) {
-        let f = node.child("fingerprints");
-        self.fps.space_ledger(f);
-        f.apportion_ns(self.times.hash_ns);
-        for (i, (r, o)) in self.lanes.iter().enumerate() {
-            let times = self.lane_times.get(i).copied().unwrap_or_default();
-            lane_ledger(node.child(&format!("lane{i}")), r, o, times);
-        }
-    }
-}
-
-impl TwoPassSecond {
-    /// Emit the pass-2 observability snapshot (heartbeats, ingest
-    /// histograms, the `twopass` event, and the pass-2 ledger)
-    /// against the configured recorder; a no-op when it is disabled.
-    /// The `run_two_pass*` drivers call this themselves — drivers that
-    /// ingest pass 2 manually (e.g. the CLI's batched loop) call it
-    /// once after [`TwoPassSecond::finalize`].
-    pub fn record_snapshot(&self, cover: &ReportedCover) {
-        record_two_pass(&self.rec, self, cover);
+        self.est.space_ledger(node);
     }
 }
 
@@ -575,14 +343,14 @@ pub fn run_two_pass(
     }
     span.finish();
     let cover = second.finalize();
-    record_two_pass(&rec, &second, &cover);
+    second.record(&cover);
     cover
 }
 
 /// Convenience: run both passes with `config.shards` sharded replicas
-/// per pass (pass 1 via [`TwoPassFirst::ingest_sharded`], pass 2 via
-/// [`TwoPassSecond::ingest_sharded`]). Matches [`run_two_pass`] up to
-/// the merge-equivalence contract (DESIGN.md §8).
+/// per pass, each fed in chunks of `batch` (at one shard, plain batched
+/// ingestion). Matches [`run_two_pass`] up to the merge-equivalence
+/// contract (DESIGN.md §8).
 pub fn run_two_pass_sharded(
     n: usize,
     m: usize,
@@ -603,61 +371,8 @@ pub fn run_two_pass_sharded(
     second.ingest_sharded(edges, shards, batch);
     span.finish();
     let cover = second.finalize();
-    record_two_pass(&rec, &second, &cover);
+    second.record(&cover);
     cover
-}
-
-/// Emit the pass-2 observability snapshot (no-op when disabled).
-fn record_two_pass(rec: &kcov_obs::Recorder, second: &TwoPassSecond, cover: &ReportedCover) {
-    if !rec.is_enabled() {
-        return;
-    }
-    telemetry::emit_heartbeats(rec, "pass2", &second.heartbeats);
-    second.hists.emit(rec, "pass2.ingest");
-    rec.event(
-        "twopass",
-        &[
-            ("z", kcov_obs::Value::from(second.z())),
-            ("estimate", kcov_obs::Value::from(cover.estimate)),
-            ("sets", kcov_obs::Value::from(cover.sets.len())),
-            ("space_words", kcov_obs::Value::from(cover.space_words)),
-            ("reps", kcov_obs::Value::from(second.lanes.len())),
-        ],
-    );
-    rec.gauge("twopass.z", second.z() as f64);
-    rec.gauge("twopass.space_words", cover.space_words as f64);
-    // Pass-2 attribution ledger, same finalize contract as the
-    // single-pass estimator (leaves-only, exact words, ns-conserving):
-    // pass 2 runs lanes serially, so the wall budget is the plain batch
-    // total.
-    let mut ledger = Ledger::new("pass2");
-    second.space_ledger(&mut ledger.root);
-    assert!(
-        ledger.audit().is_empty(),
-        "pass-2 ledger schema violations: {:?}",
-        ledger.audit()
-    );
-    assert_eq!(
-        ledger.total_words(),
-        cover.space_words as u64,
-        "pass-2 ledger must attribute every resident word exactly"
-    );
-    let ns = ledger.total_ns();
-    let budget = second.hists.batch_ns.sum();
-    assert!(
-        ns <= budget,
-        "pass-2 ledger attributes {ns} ns against a wall budget of {budget} ns"
-    );
-    ledger.emit(rec);
-    rec.event(
-        "time_ledger_meta",
-        &[
-            ("stage", kcov_obs::Value::from("pass2")),
-            ("root", kcov_obs::Value::from(ledger.name())),
-            ("threads", kcov_obs::Value::from(1u64)),
-            ("ns", kcov_obs::Value::from(ns)),
-        ],
-    );
 }
 
 #[cfg(test)]
@@ -732,6 +447,18 @@ mod tests {
         let config = EstimatorConfig::practical(1);
         let cover = run_two_pass(100, 50, 5, 2.0, &config, &[]);
         assert!(cover.sets.is_empty());
+    }
+
+    #[test]
+    fn decode_rejects_a_frame_that_disagrees_with_its_estimator() {
+        use kcov_sketch::WireEncode;
+        let config = EstimatorConfig::practical(5);
+        let second = TwoPassFirst::new(600, 80, 6, 4.0, &config).into_second_pass();
+        for (k, z, msg) in [(7, second.z, "pass-2 k 7"), (6, 2 * second.z, "disagrees with z")] {
+            let frame = TwoPassSecond { k, z, ..second.clone() };
+            let err = TwoPassSecond::from_bytes(&frame.to_bytes()).unwrap_err();
+            assert!(err.to_string().contains(msg), "{err}");
+        }
     }
 
     #[test]

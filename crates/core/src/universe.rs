@@ -96,6 +96,12 @@ impl UniverseReducer {
         self.hash.space_words()
     }
 
+    /// Whether this reducer applies an estimator-shared mix
+    /// ([`Self::with_shared_mix`]) rather than a private one it owns.
+    pub fn shares_mix(&self) -> bool {
+        self.shared_mix
+    }
+
     /// Pseudo-element of `elem` (raw id).
     #[inline]
     pub fn map(&self, elem: u64) -> u64 {

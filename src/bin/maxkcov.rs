@@ -543,12 +543,35 @@ fn cmd_gen(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), S
         Some(s) => parse_k(s)?,
         None => (m / 20).max(1),
     };
+    // Shapes the generators would assert on are usage errors here.
+    if n < 1 || m < 1 {
+        return Err("gen needs --n >= 1 and --m >= 1".into());
+    }
     let system = match kind {
         "uniform" => gen::uniform_fixed_size(n, m, (n / 50).max(2).min(n), seed),
         "zipf" => gen::zipf_set_sizes(n, m, (n / 5).max(2).min(n), 1.05, seed),
-        "planted" => gen::planted_cover(n, m, k, 0.8, ((n / k) / 4).max(1), seed).system,
-        "common" => gen::common_heavy(n, m, seed),
-        "few-large" => gen::few_large(n, m, 3.min(m - 1).max(1), (n / 5).max(1), seed),
+        "planted" => {
+            if k > m || k > n {
+                return Err(format!("planted needs --k <= --m and --k <= --n (k = {k})"));
+            }
+            gen::planted_cover(n, m, k, 0.8, ((n / k) / 4).max(1), seed).system
+        }
+        "common" => {
+            if n < 8 || m < 4 {
+                return Err("common needs --n >= 8 and --m >= 4".into());
+            }
+            gen::common_heavy(n, m, seed)
+        }
+        "few-large" => {
+            let (large, size) = (3.min(m.saturating_sub(1)), (n / 5).max(1));
+            if large < 1 {
+                return Err("few-large needs --m >= 2".into());
+            }
+            if large * size > n * 3 / 4 {
+                return Err(format!("few-large needs --n to hold {large} sets of {size} in 3/4 of it"));
+            }
+            gen::few_large(n, m, large, size, seed)
+        }
         "many-small" => gen::many_small(n, m, k.min(m), 0.6, seed),
         other => return Err(format!("unknown kind '{other}'")),
     };
@@ -872,29 +895,9 @@ fn cmd_twopass(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(
     let batch = parse_batch(flags)?;
     let edges = edge_stream(&system, order);
     let (n, m) = (system.num_elements(), system.num_sets());
-    let cover = if config.shards > 1 {
-        kcov_core::run_two_pass_sharded(n, m, k, alpha, &config, &edges, batch.unwrap_or(1024))
-    } else {
-        match batch {
-            None => kcov_core::run_two_pass(n, m, k, alpha, &config, &edges),
-            Some(b) => {
-                let mut first = kcov_core::TwoPassFirst::new(n, m, k, alpha, &config);
-                let span = rec.span("pass1");
-                for chunk in edges.chunks(b) {
-                    first.observe_batch(chunk);
-                }
-                span.finish();
-                let mut second = first.into_second_pass();
-                let span = rec.span("pass2");
-                for chunk in edges.chunks(b) {
-                    second.observe_batch(chunk);
-                }
-                span.finish();
-                let cover = second.finalize();
-                second.record_snapshot(&cover);
-                cover
-            }
-        }
+    let cover = match batch {
+        None if config.shards <= 1 => kcov_core::run_two_pass(n, m, k, alpha, &config, &edges),
+        b => kcov_core::run_two_pass_sharded(n, m, k, alpha, &config, &edges, b.unwrap_or(1024)),
     };
     let chosen: Vec<usize> = cover.sets.iter().map(|&s| s as usize).collect();
     outln!(out, "reported sets  = {:?}", cover.sets);

@@ -99,6 +99,44 @@ fn twopass_and_setcover_subcommands() {
     std::fs::remove_file(&path).ok();
 }
 
+/// Pass 2 bounds its pseudo-universe by `2n`, which on a one-element
+/// universe is below the usual floor of 4.
+#[test]
+fn twopass_runs_on_a_one_element_universe() {
+    let path = tmp_file("one.txt");
+    std::fs::write(&path, "1 1\n0 0\n").unwrap();
+    let out = run(&["twopass", "--input", path.to_str().unwrap(), "--k", "1", "--alpha", "1"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("real coverage  = 1"));
+    std::fs::remove_file(&path).ok();
+}
+
+/// Shapes a generator would assert on are usage errors (exit 1 with an
+/// `error:` line), never a panic (exit 101).
+#[test]
+fn gen_rejects_shapes_its_generators_cannot_build() {
+    let path = tmp_file("gen-reject.txt");
+    let path_s = path.to_str().unwrap();
+    let cases: &[&[&str]] = &[
+        &["--kind", "uniform", "--n", "0", "--m", "5"],
+        &["--kind", "zipf", "--n", "5", "--m", "0"],
+        &["--kind", "few-large", "--n", "100", "--m", "1"],
+        &["--kind", "few-large", "--n", "100", "--m", "0"],
+        &["--kind", "few-large", "--n", "2", "--m", "10"],
+        &["--kind", "planted", "--n", "100", "--m", "5", "--k", "8"],
+        &["--kind", "planted", "--n", "3", "--m", "10", "--k", "5"],
+        &["--kind", "common", "--n", "7", "--m", "10"],
+        &["--kind", "common", "--n", "100", "--m", "3"],
+    ];
+    for case in cases {
+        let out = run(&[&["gen"], *case, &["--out", path_s]].concat());
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{case:?}: {err}");
+        assert!(err.starts_with("error: "), "{case:?}: {err}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn budget_subcommand_fits_alpha() {
     let path = tmp_file("budget.txt");
