@@ -26,8 +26,6 @@
 //!    returns that guarantee value — a sound lower bound — and the
 //!    winning superset as the reporting witness.
 
-use std::collections::HashMap;
-
 use std::sync::Arc;
 
 use kcov_hash::{KWise, RangeHash, SeedSequence};
@@ -37,89 +35,12 @@ use kcov_stream::Edge;
 use crate::params::Params;
 use crate::Witness;
 
-/// Per-repetition sampled-superset table: superset id → its distinct
-/// coverage sketch. The arena keeps one flat open-addressing table per
-/// repetition; the reference backend keeps the pre-arena `std` map.
-/// Every order-sensitive consumer (finalize scan, wire encoding) walks
-/// ids in sorted order, and the aggregating consumers (stats, ledger)
-/// are commutative sums, so behavior is backend-invariant.
-#[derive(Debug, Clone)]
-enum SampledStore {
-    Oa(OaMap<L0Estimator>),
-    Map(HashMap<u64, L0Estimator>),
-}
-
-impl SampledStore {
-    fn new() -> Self {
-        match kcov_sketch::backend() {
-            kcov_sketch::Backend::Arena => SampledStore::Oa(OaMap::new()),
-            kcov_sketch::Backend::Reference => SampledStore::Map(HashMap::new()),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            SampledStore::Oa(m) => m.len(),
-            SampledStore::Map(m) => m.len(),
-        }
-    }
-
-    #[inline]
-    fn get_or_insert_with(&mut self, sid: u64, default: impl FnOnce() -> L0Estimator) -> &mut L0Estimator {
-        match self {
-            SampledStore::Oa(m) => m.get_or_insert_with(sid, default),
-            SampledStore::Map(m) => m.entry(sid).or_insert_with(default),
-        }
-    }
-
-    fn get(&self, sid: u64) -> Option<&L0Estimator> {
-        match self {
-            SampledStore::Oa(m) => m.get(sid),
-            SampledStore::Map(m) => m.get(&sid),
-        }
-    }
-
-    fn get_mut(&mut self, sid: u64) -> Option<&mut L0Estimator> {
-        match self {
-            SampledStore::Oa(m) => m.get_mut(sid),
-            SampledStore::Map(m) => m.get_mut(&sid),
-        }
-    }
-
-    fn set(&mut self, sid: u64, l0: L0Estimator) {
-        match self {
-            SampledStore::Oa(m) => m.set(sid, l0),
-            SampledStore::Map(m) => {
-                m.insert(sid, l0);
-            }
-        }
-    }
-
-    /// Sampled ids, ascending (canonical order for finalize and wire).
-    fn sorted_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = match self {
-            SampledStore::Oa(m) => m.iter().map(|(sid, _)| sid).collect(),
-            SampledStore::Map(m) => m.keys().copied().collect(),
-        };
-        ids.sort_unstable();
-        ids
-    }
-
-    /// Visit every sketch in storage order (commutative consumers only).
-    fn for_each(&self, mut f: impl FnMut(&L0Estimator)) {
-        match self {
-            SampledStore::Oa(m) => {
-                for (_, l0) in m.iter() {
-                    f(l0);
-                }
-            }
-            SampledStore::Map(m) => {
-                for l0 in m.values() {
-                    f(l0);
-                }
-            }
-        }
-    }
+/// Sampled superset ids, ascending: the canonical order for the
+/// finalize scan and the wire encoding.
+fn sorted_ids(sampled: &OaMap<L0Estimator>) -> Vec<u64> {
+    let mut ids: Vec<u64> = sampled.iter().map(|(sid, _)| sid).collect();
+    ids.sort_unstable();
+    ids
 }
 
 /// One repetition of the element-sampled pipeline.
@@ -151,10 +72,13 @@ struct Rep {
     /// byte-identical substreams to two trackers per shared level.
     cntr: F2Contributing,
     /// Case 2 fallback: directly sampled supersets with distinct-element
-    /// coverage sketches (classes larger than r₂).
+    /// coverage sketches (classes larger than r₂), keyed by superset id.
+    /// Slot order is not canonical: the finalize scan and the wire
+    /// encoding walk ids sorted; every other consumer is a commutative
+    /// sum.
     ssel_buckets: u64,
     ssel_hash: KWise,
-    sampled: SampledStore,
+    sampled: OaMap<L0Estimator>,
     sample_seed: u64,
 }
 
@@ -289,7 +213,7 @@ impl LargeSet {
                     cntr: F2Contributing::new_paired(c1, c2, num_supersets as usize, u, cntr_seed),
                     ssel_buckets,
                     ssel_hash: KWise::new(4, seq.next_seed()),
-                    sampled: SampledStore::new(),
+                    sampled: OaMap::new(),
                     sample_seed: seq.next_seed(),
                 }
             })
@@ -476,7 +400,7 @@ impl LargeSet {
         // Case 2 fallback: directly sampled supersets, distinct coverage.
         // Scan in superset-id order so the returned hit is a pure
         // function of the stream, not of the map's iteration order.
-        for sid in rep.sampled.sorted_ids() {
+        for sid in sorted_ids(&rep.sampled) {
             let v = rep.sampled.get(sid).expect("listed id resident").estimate();
             if v >= t2 {
                 return Some(RepHit {
@@ -520,7 +444,9 @@ impl LargeSet {
         let mut agg = kcov_obs::SketchStats::default();
         for rep in &self.reps {
             agg.absorb(rep.cntr.stats());
-            rep.sampled.for_each(|l0| agg.absorb(l0.stats()));
+            for (_, l0) in rep.sampled.iter() {
+                agg.absorb(l0.stats());
+            }
         }
         agg
     }
@@ -584,8 +510,7 @@ impl LargeSet {
                 "LargeSet merge requires identical hash functions"
             );
             a.cntr.merge(&b.cntr);
-            for sid in b.sampled.sorted_ids() {
-                let l0 = b.sampled.get(sid).expect("listed id resident");
+            for (sid, l0) in b.sampled.iter() {
                 match a.sampled.get_mut(sid) {
                     Some(mine) => mine.merge(l0),
                     None => a.sampled.set(sid, l0.clone()),
@@ -626,7 +551,7 @@ impl kcov_sketch::WireEncode for LargeSet {
             put_u64(out, rep.sample_seed);
             // Sampled supersets in ascending id order: the encoding of a
             // state is unique, so replica files are comparable bytewise.
-            let sids = rep.sampled.sorted_ids();
+            let sids = sorted_ids(&rep.sampled);
             put_u64(out, sids.len() as u64);
             for sid in sids {
                 put_u64(out, sid);
@@ -675,7 +600,7 @@ impl kcov_sketch::WireEncode for LargeSet {
             if n > input.len() {
                 return Err(err("LargeSet sampled-superset count exceeds input"));
             }
-            let mut sampled = SampledStore::new();
+            let mut sampled = OaMap::new();
             let mut last: Option<u64> = None;
             for _ in 0..n {
                 let sid = take_u64(input)?;
@@ -728,11 +653,7 @@ impl SpaceUsage for LargeSet {
                     + r.shash.space_words()
                     + r.ssel_hash.space_words()
                     + r.cntr.space_words()
-                    + {
-                        let mut s = 0usize;
-                        r.sampled.for_each(|l0| s += l0.space_words());
-                        s
-                    }
+                    + r.sampled.iter().map(|(_, l0)| l0.space_words()).sum::<usize>()
                     + 2 * r.sampled.len()
             })
             .sum::<usize>()
@@ -753,7 +674,9 @@ impl SpaceUsage for LargeSet {
             );
             r.cntr.space_ledger(node.child("cntr"));
             let sampled = node.child("sampled");
-            r.sampled.for_each(|l0| l0.space_ledger(sampled));
+            for (_, l0) in r.sampled.iter() {
+                l0.space_ledger(sampled);
+            }
             sampled.leaf("entries", 2 * r.sampled.len());
         }
     }

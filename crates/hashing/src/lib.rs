@@ -22,7 +22,6 @@
 //! by a `u64` seed so that every experiment in the workspace is
 //! reproducible.
 
-pub mod det_hash;
 pub mod field;
 pub mod kwise;
 pub mod multiply_shift;
@@ -30,7 +29,6 @@ pub mod poly;
 pub mod seeded;
 pub mod tabulation;
 
-pub use det_hash::DetBuildHasher;
 pub use field::{Fp, MERSENNE_P};
 pub use kwise::{four_wise, log_wise, pairwise, KWise, SignHash};
 pub use multiply_shift::MultiplyShift;

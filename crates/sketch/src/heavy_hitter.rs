@@ -18,70 +18,11 @@
 //! *is* a width-bucketed AMS estimator, so no second sketch is needed on
 //! the update path — the tracker itself touches no hash at all).
 
-use std::collections::HashMap;
-
-use kcov_hash::DetBuildHasher;
 use kcov_obs::{LedgerNode, SketchStats};
 
-use crate::arena::{backend, Backend, OaMap};
+use crate::arena::OaMap;
 use crate::count_sketch::CountSketch;
 use crate::space::SpaceUsage;
-
-/// Candidate storage: the arena keeps one flat open-addressing table;
-/// the reference backend keeps the pre-arena `std` map. Both hold the
-/// same item → count multiset, and every order-sensitive consumer
-/// (reports, wire encoding, the prune tie-break) canonicalizes by
-/// sorting, so behavior is backend-invariant.
-#[derive(Debug, Clone)]
-enum CandidateStore {
-    Oa(OaMap<i64>),
-    Map(HashMap<u64, i64, DetBuildHasher>),
-}
-
-impl CandidateStore {
-    fn with_capacity(n: usize) -> Self {
-        match backend() {
-            Backend::Arena => CandidateStore::Oa(OaMap::with_capacity(n)),
-            Backend::Reference => CandidateStore::Map(HashMap::with_capacity_and_hasher(
-                n,
-                DetBuildHasher,
-            )),
-        }
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        match self {
-            CandidateStore::Oa(m) => m.len(),
-            CandidateStore::Map(m) => m.len(),
-        }
-    }
-
-    /// Add `delta` arrivals to `item`'s count, tracking it if new.
-    #[inline]
-    fn add(&mut self, item: u64, delta: i64) {
-        match self {
-            CandidateStore::Oa(m) => *m.get_or_insert_with(item, || 0) += delta,
-            CandidateStore::Map(m) => *m.entry(item).or_insert(0) += delta,
-        }
-    }
-
-    /// All entries, storage order (callers sort before any
-    /// order-sensitive use).
-    fn entries_unordered(&self) -> Vec<(u64, i64)> {
-        match self {
-            CandidateStore::Oa(m) => m.iter().map(|(k, &c)| (k, c)).collect(),
-            CandidateStore::Map(m) => m.iter().map(|(&k, &c)| (k, c)).collect(),
-        }
-    }
-
-    fn retain(&mut self, mut pred: impl FnMut(u64, i64) -> bool) {
-        match self {
-            CandidateStore::Oa(m) => m.retain(|k, c| pred(k, *c)),
-            CandidateStore::Map(m) => m.retain(|&k, c| pred(k, *c)),
-        }
-    }
-}
 
 /// Configuration for [`F2HeavyHitter`].
 #[derive(Debug, Clone)]
@@ -136,9 +77,10 @@ pub struct F2HeavyHitter {
     /// the sketch, so the tracker state is a pure function of the
     /// *multiset deltas* of the insertion sequence between prunes —
     /// which is what makes batched ingestion and shard merging
-    /// state-identical to serial insertion (the deterministic hasher
-    /// keeps bucket placement reproducible across processes too).
-    candidates: CandidateStore,
+    /// state-identical to serial insertion. Slot order is not
+    /// canonical: every order-sensitive consumer (reports, wire
+    /// encoding, the prune tie-break) sorts by item first.
+    candidates: OaMap<i64>,
     capacity: usize,
     items_seen: u64,
     /// Telemetry: pruning rounds fired (not state — merged by addition,
@@ -157,7 +99,7 @@ impl F2HeavyHitter {
         let capacity = ((config.capacity_factor / config.phi).ceil() as usize).clamp(8, 1 << 22);
         F2HeavyHitter {
             sketch: CountSketch::new(config.rows, width, seed ^ 0x5ca1ab1e),
-            candidates: CandidateStore::with_capacity(capacity + capacity / 2 + 1),
+            candidates: OaMap::with_capacity(capacity + capacity / 2 + 1),
             capacity,
             config,
             items_seen: 0,
@@ -177,7 +119,7 @@ impl F2HeavyHitter {
     pub fn insert(&mut self, item: u64) {
         self.items_seen += 1;
         self.sketch.insert(item);
-        self.candidates.add(item, 1);
+        *self.candidates.get_or_insert_with(item, || 0) += 1;
         if self.candidates.len() > self.capacity + self.capacity / 2 {
             self.prune();
         }
@@ -194,7 +136,7 @@ impl F2HeavyHitter {
         self.items_seen += items.len() as u64;
         let high_water = self.capacity + self.capacity / 2;
         for &item in items {
-            self.candidates.add(item, 1);
+            *self.candidates.get_or_insert_with(item, || 0) += 1;
             if self.candidates.len() > high_water {
                 self.prune();
             }
@@ -214,7 +156,7 @@ impl F2HeavyHitter {
         // tie-break below (prunes fire every Θ(capacity) distinct
         // arrivals on candidate-churning streams, so the scan count is
         // on the hot path).
-        let entries = self.candidates.entries_unordered();
+        let entries: Vec<(u64, i64)> = self.candidates.iter().map(|(k, &c)| (k, c)).collect();
         let mut counts: Vec<i64> = entries.iter().map(|&(_, c)| c).collect();
         // k-th largest value as the cut (a value, so order-independent).
         let cut_idx = counts.len() - keep;
@@ -229,7 +171,7 @@ impl F2HeavyHitter {
         tied.sort_unstable();
         tied.truncate(keep.saturating_sub(above));
         self.candidates
-            .retain(|item, c| c > cut || tied.binary_search(&item).is_ok());
+            .retain(|item, &mut c| c > cut || tied.binary_search(&item).is_ok());
         self.evictions += (before - self.candidates.len()) as u64;
     }
 
@@ -253,8 +195,7 @@ impl F2HeavyHitter {
         let thr = self.config.report_slack * self.config.phi * f2;
         let mut out: Vec<HeavyItem> = self
             .candidates
-            .entries_unordered()
-            .into_iter()
+            .iter()
             .map(|(item, _)| HeavyItem {
                 item,
                 est: self.sketch.query(item),
@@ -288,7 +229,7 @@ impl F2HeavyHitter {
     /// Candidate entries as `(item, arrivals since tracking began)`,
     /// sorted by item so the encoding is canonical (wire serialization).
     pub fn candidate_entries(&self) -> Vec<(u64, i64)> {
-        let mut out = self.candidates.entries_unordered();
+        let mut out: Vec<(u64, i64)> = self.candidates.iter().map(|(k, &c)| (k, c)).collect();
         out.sort_unstable();
         out
     }
@@ -317,9 +258,9 @@ impl F2HeavyHitter {
                 capacity + capacity / 2
             ));
         }
-        let mut store = CandidateStore::with_capacity(capacity + capacity / 2 + 1);
+        let mut store = OaMap::with_capacity(capacity + capacity / 2 + 1);
         for (item, count) in candidates {
-            store.add(item, count);
+            *store.get_or_insert_with(item, || 0) += count;
         }
         Ok(F2HeavyHitter {
             config,
@@ -362,8 +303,8 @@ impl F2HeavyHitter {
         );
         self.sketch.merge(&other.sketch);
         self.items_seen += other.items_seen;
-        for (item, count) in other.candidates.entries_unordered() {
-            self.candidates.add(item, count);
+        for (item, &count) in other.candidates.iter() {
+            *self.candidates.get_or_insert_with(item, || 0) += count;
         }
         if self.candidates.len() > self.capacity + self.capacity / 2 {
             self.prune();

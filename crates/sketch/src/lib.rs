@@ -36,7 +36,7 @@ pub mod space;
 pub mod wire;
 
 pub use ams_f2::AmsF2;
-pub use arena::{backend, probe_mix, Backend, OaMap, SortedSlab};
+pub use arena::{probe_mix, OaMap, SortedSlab};
 pub use bjkst::Bjkst;
 pub use contributing::{ContributingConfig, ContributingReport, F2Contributing};
 pub use count_min::CountMin;

@@ -70,8 +70,9 @@ fn parse_pair(line: &str, lineno: usize) -> Result<Option<(u64, u64)>, ParseErro
 }
 
 /// Largest accepted `n` or `m`: ids are stored as `u32`, so every id
-/// in `0..n` and `0..m` must fit one.
-const MAX_IDS: u64 = 1 << 32;
+/// in `0..n` and `0..m` must fit one. Readers reject larger headers and
+/// writers refuse to produce them.
+pub const MAX_IDS: u64 = 1 << 32;
 
 /// Validate the `n m` header line.
 fn check_header(n: u64, m: u64, lineno: usize) -> Result<(usize, usize), ParseError> {

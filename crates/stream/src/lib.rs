@@ -29,5 +29,7 @@ pub mod order;
 pub use coverage::{common_elements, coverage_of, element_frequencies, CoverageStats};
 pub use edge::Edge;
 pub use instance::SetSystem;
-pub use io::{read_edges, read_set_system, write_edges, write_set_system, EdgeChunkReader, ParseError};
+pub use io::{
+    read_edges, read_set_system, write_edges, write_set_system, EdgeChunkReader, ParseError, MAX_IDS,
+};
 pub use order::{edge_stream, edge_stream_chunked, ArrivalOrder, ChunkedStream};

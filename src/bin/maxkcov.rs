@@ -78,7 +78,7 @@ use kcov_sketch::{SpaceUsage, WireEncode};
 use kcov_stream::gen;
 use kcov_stream::{
     coverage_of, edge_stream, read_set_system, write_set_system, ArrivalOrder, CoverageStats,
-    SetSystem,
+    SetSystem, MAX_IDS,
 };
 
 fn main() -> ExitCode {
@@ -547,6 +547,9 @@ fn cmd_gen(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(), S
     if n < 1 || m < 1 {
         return Err("gen needs --n >= 1 and --m >= 1".into());
     }
+    if n as u64 > MAX_IDS || m as u64 > MAX_IDS {
+        return Err("gen needs --n and --m <= 2^32: ids must fit u32".into());
+    }
     let system = match kind {
         "uniform" => gen::uniform_fixed_size(n, m, (n / 50).max(2).min(n), seed),
         "zipf" => gen::zipf_set_sizes(n, m, (n / 5).max(2).min(n), 1.05, seed),
@@ -703,6 +706,9 @@ fn cmd_worker(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<()
     };
     if snapshot_every > 0 && snapshot.is_none() {
         return Err("--snapshot-every needs --snapshot FILE".into());
+    }
+    if snapshot.is_some() && snapshot_every == 0 {
+        return Err("--snapshot FILE needs --snapshot-every E >= 1".into());
     }
     let stop_after: Option<u64> = match flags.get("stop-after") {
         Some(s) => Some(parse_num(s, "stop-after")?),

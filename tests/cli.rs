@@ -127,6 +127,8 @@ fn gen_rejects_shapes_its_generators_cannot_build() {
         &["--kind", "planted", "--n", "3", "--m", "10", "--k", "5"],
         &["--kind", "common", "--n", "7", "--m", "10"],
         &["--kind", "common", "--n", "100", "--m", "3"],
+        &["--kind", "uniform", "--n", "4294967297", "--m", "3"],
+        &["--kind", "uniform", "--n", "5", "--m", "4294967297"],
     ];
     for case in cases {
         let out = run(&[&["gen"], *case, &["--out", path_s]].concat());

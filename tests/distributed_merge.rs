@@ -424,6 +424,22 @@ fn worker_flag_and_resume_validation() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--snapshot"));
 
+    // The reverse: a snapshot file that would never be written.
+    for every in [None, Some("0")] {
+        let mut args = vec![
+            "worker", "--input", input_s, "--k", K, "--alpha", ALPHA, "--shards", "2",
+            "--shard", "0", "--out", "/dev/null", "--snapshot", "/dev/null",
+        ];
+        args.extend(every.iter().flat_map(|e| ["--snapshot-every", *e]));
+        let out = run(&args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{every:?}: {err}");
+        assert!(
+            err.starts_with("error: ") && err.contains("--snapshot-every"),
+            "{every:?}: {err}"
+        );
+    }
+
     // A finished replica doubles as a snapshot — but only for its own
     // shard.
     let (out, replica) = worker("val", &input, "9", 2, 0, &[]);
