@@ -275,7 +275,7 @@ impl WireEncode for Kmv {
         put_u64(out, TAG_KMV);
         put_u64(out, self.k() as u64);
         put_kwise(out, self.hash());
-        put_u64s(out, &self.kept_values());
+        put_u64s(out, self.kept_values());
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
