@@ -77,7 +77,7 @@ fn main() {
             || {
                 let mut config = EstimatorConfig::practical(7);
                 config.reps = Some(1);
-                black_box(MaxCoverEstimator::run(5_000, 1_000, 32, alpha, &config, &edges));
+                black_box(MaxCoverEstimator::run(5_000, 1_000, 32, alpha, &config, &edges, None));
             },
             3,
         );

@@ -18,12 +18,12 @@ fn main() {
     let total = edges.len() as f64;
     let config = coarse_config(3, n, 1);
 
-    let reference = MaxCoverEstimator::run(n, m, k, alpha, &config, &edges);
+    let reference = MaxCoverEstimator::run(n, m, k, alpha, &config, &edges, None);
 
     let mut rows: Vec<Vec<String>> = Vec::new();
     let serial_secs = median_secs(
         || {
-            black_box(MaxCoverEstimator::run(n, m, k, alpha, &config, &edges));
+            black_box(MaxCoverEstimator::run(n, m, k, alpha, &config, &edges, None));
         },
         3,
     );
@@ -39,7 +39,7 @@ fn main() {
     for &batch in &[256usize, 4096, 65_536] {
         for &threads in &[1usize, 2, 4] {
             let config = config.clone().with_threads(threads);
-            let out = MaxCoverEstimator::run_batched(n, m, k, alpha, &config, &edges, batch);
+            let out = MaxCoverEstimator::run(n, m, k, alpha, &config, &edges, Some(batch));
             assert_eq!(
                 reference.estimate.to_bits(),
                 out.estimate.to_bits(),
@@ -47,8 +47,14 @@ fn main() {
             );
             let secs = median_secs(
                 || {
-                    black_box(MaxCoverEstimator::run_batched(
-                        n, m, k, alpha, &config, &edges, batch,
+                    black_box(MaxCoverEstimator::run(
+                        n,
+                        m,
+                        k,
+                        alpha,
+                        &config,
+                        &edges,
+                        Some(batch),
                     ));
                 },
                 3,
@@ -80,7 +86,7 @@ fn main() {
     let mut shard_rows: Vec<Vec<String>> = Vec::new();
     for &shards in &[1usize, 2, 4] {
         let config = config.clone().with_shards(shards);
-        let out = MaxCoverEstimator::run_sharded(n, m, k, alpha, &config, &edges, 4096);
+        let out = MaxCoverEstimator::run(n, m, k, alpha, &config, &edges, Some(4096));
         assert_eq!(
             reference.estimate.to_bits(),
             out.estimate.to_bits(),
@@ -88,14 +94,20 @@ fn main() {
         );
         let secs = median_secs(
             || {
-                black_box(MaxCoverEstimator::run_sharded(
-                    n, m, k, alpha, &config, &edges, 4096,
+                black_box(MaxCoverEstimator::run(
+                    n,
+                    m,
+                    k,
+                    alpha,
+                    &config,
+                    &edges,
+                    Some(4096),
                 ));
             },
             3,
         );
         shard_rows.push(vec![
-            "run_sharded".into(),
+            "sharded".into(),
             "4096".into(),
             shards.to_string(),
             fmt(secs * 1e3),

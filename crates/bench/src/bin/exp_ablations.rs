@@ -102,7 +102,7 @@ fn main() {
         let mut config = EstimatorConfig::practical(11);
         config.z_guesses = zs;
         config.reps = Some(2);
-        let out = MaxCoverEstimator::run(nn, mm, 20, 8.0, &config, &edges);
+        let out = MaxCoverEstimator::run(nn, mm, 20, 8.0, &config, &edges, None);
         rows.push(vec![
             label.into(),
             fmt(out.estimate),

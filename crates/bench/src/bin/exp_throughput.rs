@@ -153,7 +153,7 @@ fn main() {
     println!("workload: n={bn} m={bm} k={bk} alpha={balpha}, {} edges", bedges.len());
 
     let t0 = Instant::now();
-    let reference = MaxCoverEstimator::run(bn, bm, bk, balpha, &bconfig, &bedges);
+    let reference = MaxCoverEstimator::run(bn, bm, bk, balpha, &bconfig, &bedges, None);
     let serial_eps = bedges.len() as f64 / t0.elapsed().as_secs_f64();
 
     let mut matrix = vec![vec![
@@ -170,7 +170,7 @@ fn main() {
         for &batch in batch_sizes {
             let config = bconfig.clone().with_threads(threads);
             let t0 = Instant::now();
-            let out = MaxCoverEstimator::run_batched(bn, bm, bk, balpha, &config, &bedges, batch);
+            let out = MaxCoverEstimator::run(bn, bm, bk, balpha, &config, &bedges, Some(batch));
             let eps = bedges.len() as f64 / t0.elapsed().as_secs_f64();
             assert_eq!(
                 reference.estimate.to_bits(),
@@ -219,7 +219,7 @@ fn main() {
         for &batch in batch_sizes {
             let config = bconfig.clone().with_shards(shards);
             let t0 = Instant::now();
-            let out = MaxCoverEstimator::run_sharded(bn, bm, bk, balpha, &config, &bedges, batch);
+            let out = MaxCoverEstimator::run(bn, bm, bk, balpha, &config, &bedges, Some(batch));
             let eps = bedges.len() as f64 / t0.elapsed().as_secs_f64();
             assert_eq!(
                 reference.estimate.to_bits(),

@@ -52,7 +52,7 @@
 //! let inst = planted_cover(1000, 100, 5, 0.8, 40, 7);
 //! let edges = edge_stream(&inst.system, ArrivalOrder::Shuffled(1));
 //! let out = MaxCoverEstimator::run(1000, 100, 5, 4.0,
-//!     &EstimatorConfig::practical(42), &edges);
+//!     &EstimatorConfig::practical(42), &edges, None);
 //! assert!(out.estimate > 0.0);
 //! assert!(out.estimate <= inst.planted_coverage as f64 * 1.2);
 //! ```
@@ -72,7 +72,7 @@ pub mod two_pass;
 pub mod universe;
 
 pub use budget::{fit_alpha_to_budget, predict_space_words, BudgetFit};
-pub use estimate::{EstimateOutcome, EstimatorConfig, MaxCoverEstimator};
+pub use estimate::{shard_range, EstimateOutcome, EstimatorConfig, MaxCoverEstimator};
 pub use fingerprint::{EdgeFingerprints, FingerprintBlock};
 pub use large_common::LargeCommon;
 pub use large_set::LargeSet;
@@ -80,7 +80,7 @@ pub use oracle::{Oracle, OracleDiagnostics, OracleOutput, SubroutineKind};
 pub use params::{ParamMode, Params};
 pub use report::{MaxCoverReporter, ReportedCover};
 pub use small_set::SmallSet;
-pub use two_pass::{run_two_pass, run_two_pass_sharded, TwoPassFirst, TwoPassSecond};
+pub use two_pass::{run_two_pass, TwoPassFirst, TwoPassSecond};
 pub use universe::UniverseReducer;
 
 /// A reporting witness: how to reconstruct the winning (approximate)

@@ -16,6 +16,11 @@
 //!   groups of `≈ k` sets by an independent hash, each group's coverage
 //!   tracked by an `Õ(1)` distinct-element sketch (the `Õ(k)` extra of
 //!   the theorem); the best group is returned.
+//!
+//! [`MaxCoverReporter`] is the estimator with this machinery switched
+//! on. It is fed through the estimator's one stream driver,
+//! [`MaxCoverEstimator::ingest`], so per-edge, batched and sharded runs
+//! report the same cover.
 
 use kcov_sketch::SpaceUsage;
 use kcov_stream::Edge;
@@ -78,11 +83,10 @@ impl MaxCoverReporter {
         self.inner.merge(&other.inner);
     }
 
-    /// Ingest `edges` through sharded estimator replicas and fold them
-    /// back into `self` (see [`MaxCoverEstimator::ingest_sharded`]).
-    /// Must be called on a freshly constructed reporter.
-    pub fn ingest_sharded(&mut self, edges: &[Edge], shards: usize, batch: usize) {
-        self.inner.ingest_sharded(edges, shards, batch);
+    /// Feed `edges` per edge or in batches, on `shards` replicas (see
+    /// [`MaxCoverEstimator::ingest`]).
+    pub fn ingest(&mut self, edges: &[Edge], shards: usize, batch: Option<usize>) {
+        self.inner.ingest(edges, shards, batch);
     }
 
     /// Finalize: expand the winning witness into at most `k` sets.
@@ -109,7 +113,8 @@ impl MaxCoverReporter {
         }
     }
 
-    /// Convenience: run over a finite edge stream.
+    /// Convenience: run over a finite edge stream through
+    /// [`MaxCoverReporter::ingest`] with `config.shards` replicas.
     pub fn run(
         n: usize,
         m: usize,
@@ -117,46 +122,10 @@ impl MaxCoverReporter {
         alpha: f64,
         config: &EstimatorConfig,
         edges: &[Edge],
+        batch: Option<usize>,
     ) -> ReportedCover {
         let mut rep = MaxCoverReporter::new(n, m, k, alpha, config);
-        for &e in edges {
-            rep.observe(e);
-        }
-        rep.finalize()
-    }
-
-    /// Convenience: run over a finite edge stream in chunks of
-    /// `batch_size` through the batched ingestion engine. Bit-identical
-    /// to [`MaxCoverReporter::run`].
-    pub fn run_batched(
-        n: usize,
-        m: usize,
-        k: usize,
-        alpha: f64,
-        config: &EstimatorConfig,
-        edges: &[Edge],
-        batch_size: usize,
-    ) -> ReportedCover {
-        let mut rep = MaxCoverReporter::new(n, m, k, alpha, config);
-        for chunk in edges.chunks(batch_size.max(1)) {
-            rep.observe_batch(chunk);
-        }
-        rep.finalize()
-    }
-
-    /// Convenience: run over a finite edge stream with `config.shards`
-    /// sharded replicas (see [`MaxCoverEstimator::run_sharded`]).
-    pub fn run_sharded(
-        n: usize,
-        m: usize,
-        k: usize,
-        alpha: f64,
-        config: &EstimatorConfig,
-        edges: &[Edge],
-        batch_size: usize,
-    ) -> ReportedCover {
-        let mut rep = MaxCoverReporter::new(n, m, k, alpha, config);
-        rep.ingest_sharded(edges, config.shards.max(1), batch_size);
+        rep.ingest(edges, config.shards, batch);
         rep.finalize()
     }
 }
@@ -206,6 +175,7 @@ mod tests {
             alpha,
             &config,
             &edges,
+            None,
         )
     }
 
@@ -246,7 +216,7 @@ mod tests {
         let edges = edge_stream(&ss, ArrivalOrder::SetContiguous);
         // k·alpha = 8·4 >= m = 12 → trivial: a block of k consecutive
         // sets (the best-tracked group).
-        let r = MaxCoverReporter::run(60, 12, 8, 4.0, &config, &edges);
+        let r = MaxCoverReporter::run(60, 12, 8, 4.0, &config, &edges, None);
         assert!(!r.sets.is_empty());
         assert!(r.sets.len() <= 8);
         assert!(r.sets.iter().all(|&s| s < 12));
@@ -269,10 +239,10 @@ mod tests {
         let m = inst.system.num_sets();
         let config = fast_config(23, n);
         let edges = edge_stream(&inst.system, ArrivalOrder::Shuffled(8));
-        let serial = MaxCoverReporter::run(n, m, 8, 3.0, &config, &edges);
+        let serial = MaxCoverReporter::run(n, m, 8, 3.0, &config, &edges, None);
         for shards in [2usize, 5] {
             let sharded_config = config.clone().with_shards(shards);
-            let out = MaxCoverReporter::run_sharded(n, m, 8, 3.0, &sharded_config, &edges, 96);
+            let out = MaxCoverReporter::run(n, m, 8, 3.0, &sharded_config, &edges, Some(96));
             assert_eq!(serial.sets, out.sets, "shards={shards}");
             assert_eq!(
                 serial.estimate.to_bits(),

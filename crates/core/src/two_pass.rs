@@ -17,9 +17,11 @@
 //!
 //! Pass 2 is Fig 1's construction at one `z`, so it runs on the
 //! estimator's own engine: [`TwoPassSecond`] wraps a
-//! [`MaxCoverEstimator`] whose lanes are the pass-2 repetitions, and
-//! inherits its per-edge and batched ingestion, `--threads` lane
-//! sharding, stream sharding, merge, heartbeats and attribution ledger.
+//! [`MaxCoverEstimator`] whose lanes are the pass-2 repetitions. Both
+//! passes are fed by the estimator's one stream driver,
+//! [`MaxCoverEstimator::ingest`] (per edge, batched, lane-threaded or
+//! stream-sharded), and pass 2 inherits merge, heartbeats and the
+//! attribution ledger.
 //! The one difference is that each repetition reduces the universe with
 //! its own mix instead of the estimator's shared one. On the wire, a
 //! pass-2 replica is the `TWOPASS` root carrying `(k, z, ẑ-estimate)`
@@ -91,11 +93,10 @@ impl TwoPassFirst {
         self.estimator.merge(&other.estimator);
     }
 
-    /// Ingest pass-1 edges through sharded replicas (see
-    /// [`MaxCoverEstimator::ingest_sharded`]). Must be called on a
-    /// freshly constructed pass-1 state.
-    pub fn ingest_sharded(&mut self, edges: &[Edge], shards: usize, batch: usize) {
-        self.estimator.ingest_sharded(edges, shards, batch);
+    /// Feed pass-1 edges per edge or in batches, on `shards` replicas
+    /// (see [`MaxCoverEstimator::ingest`]).
+    pub fn ingest(&mut self, edges: &[Edge], shards: usize, batch: Option<usize>) {
+        self.estimator.ingest(edges, shards, batch);
     }
 
     /// Finish pass 1 and build pass 2 around the guess.
@@ -194,11 +195,10 @@ impl TwoPassSecond {
         self.est.merge(&other.est);
     }
 
-    /// Ingest pass-2 edges through sharded replicas (see
-    /// [`MaxCoverEstimator::ingest_sharded`]). Must be called on a fresh
-    /// pass-2 state (straight out of [`TwoPassFirst::into_second_pass`]).
-    pub fn ingest_sharded(&mut self, edges: &[Edge], shards: usize, batch: usize) {
-        self.est.ingest_sharded(edges, shards, batch);
+    /// Feed pass-2 edges per edge or in batches, on `shards` replicas
+    /// (see [`MaxCoverEstimator::ingest`]).
+    pub fn ingest(&mut self, edges: &[Edge], shards: usize, batch: Option<usize>) {
+        self.est.ingest(edges, shards, batch);
     }
 
     /// Attach an observability recorder after wire reconstruction (same
@@ -320,7 +320,8 @@ impl SpaceUsage for TwoPassSecond {
     }
 }
 
-/// Convenience: run both passes over a replayable stream.
+/// Convenience: run both passes over a replayable stream, each fed
+/// through [`MaxCoverEstimator::ingest`] with `config.shards` replicas.
 pub fn run_two_pass(
     n: usize,
     m: usize,
@@ -328,47 +329,16 @@ pub fn run_two_pass(
     alpha: f64,
     config: &EstimatorConfig,
     edges: &[Edge],
+    batch: Option<usize>,
 ) -> ReportedCover {
     let rec = config.recorder.clone();
     let mut first = TwoPassFirst::new(n, m, k, alpha, config);
     let span = rec.span("pass1");
-    for &e in edges {
-        first.observe(e);
-    }
+    first.ingest(edges, config.shards, batch);
     span.finish();
     let mut second = first.into_second_pass();
     let span = rec.span("pass2");
-    for &e in edges {
-        second.observe(e);
-    }
-    span.finish();
-    let cover = second.finalize();
-    second.record(&cover);
-    cover
-}
-
-/// Convenience: run both passes with `config.shards` sharded replicas
-/// per pass, each fed in chunks of `batch` (at one shard, plain batched
-/// ingestion). Matches [`run_two_pass`] up to the merge-equivalence
-/// contract (DESIGN.md §8).
-pub fn run_two_pass_sharded(
-    n: usize,
-    m: usize,
-    k: usize,
-    alpha: f64,
-    config: &EstimatorConfig,
-    edges: &[Edge],
-    batch: usize,
-) -> ReportedCover {
-    let rec = config.recorder.clone();
-    let shards = config.shards.max(1);
-    let mut first = TwoPassFirst::new(n, m, k, alpha, config);
-    let span = rec.span("pass1");
-    first.ingest_sharded(edges, shards, batch);
-    span.finish();
-    let mut second = first.into_second_pass();
-    let span = rec.span("pass2");
-    second.ingest_sharded(edges, shards, batch);
+    second.ingest(edges, config.shards, batch);
     span.finish();
     let cover = second.finalize();
     second.record(&cover);
@@ -387,7 +357,7 @@ mod tests {
         let inst = planted_cover(2_000, 250, 12, 0.8, 40, 3);
         let edges = edge_stream(&inst.system, ArrivalOrder::Shuffled(1));
         let config = EstimatorConfig::practical(9);
-        let cover = run_two_pass(2_000, 250, 12, 4.0, &config, &edges);
+        let cover = run_two_pass(2_000, 250, 12, 4.0, &config, &edges, None);
         assert!(!cover.sets.is_empty());
         assert!(cover.sets.len() <= 12);
         let chosen: Vec<usize> = cover.sets.iter().map(|&s| s as usize).collect();
@@ -445,7 +415,7 @@ mod tests {
     #[test]
     fn empty_stream_degrades_gracefully() {
         let config = EstimatorConfig::practical(1);
-        let cover = run_two_pass(100, 50, 5, 2.0, &config, &[]);
+        let cover = run_two_pass(100, 50, 5, 2.0, &config, &[], None);
         assert!(cover.sets.is_empty());
     }
 
@@ -466,10 +436,10 @@ mod tests {
         let inst = planted_cover(1_000, 150, 8, 0.7, 30, 13);
         let edges = edge_stream(&inst.system, ArrivalOrder::Shuffled(3));
         let config = EstimatorConfig::practical(7);
-        let serial = run_two_pass(1_000, 150, 8, 4.0, &config, &edges);
+        let serial = run_two_pass(1_000, 150, 8, 4.0, &config, &edges, None);
         for shards in [2usize, 4] {
             let sharded_config = config.clone().with_shards(shards);
-            let out = run_two_pass_sharded(1_000, 150, 8, 4.0, &sharded_config, &edges, 128);
+            let out = run_two_pass(1_000, 150, 8, 4.0, &sharded_config, &edges, Some(128));
             assert_eq!(serial.sets, out.sets, "shards={shards}");
             assert_eq!(
                 serial.estimate.to_bits(),

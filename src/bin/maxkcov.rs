@@ -73,7 +73,7 @@ use std::time::Instant;
 use kcov_baselines::{greedy_max_cover, max_cover_exact};
 use kcov_core::{EstimatorConfig, MaxCoverEstimator, MaxCoverReporter, ParamMode};
 use kcov_obs::json::Json;
-use kcov_obs::{render_folded, render_ledger_report, Histogram, LedgerRow, Rank, Recorder, Value};
+use kcov_obs::{render_folded, render_ledger_report, Histogram, LedgerRow, Rank, Recorder};
 use kcov_sketch::{SpaceUsage, WireEncode};
 use kcov_stream::gen;
 use kcov_stream::{
@@ -445,6 +445,20 @@ fn parse_config(flags: &HashMap<String, String>) -> Result<EstimatorConfig, Stri
 }
 
 /// `--batch B` chunk size; `None` keeps the per-edge `observe` path.
+/// Edges per batch when a sharded run, a `worker` or `prof --input`
+/// gets no `--batch`.
+const DEFAULT_BATCH: usize = 1024;
+
+/// The batch rule every stream subcommand hands
+/// [`MaxCoverEstimator::ingest`]: `--batch` as given; without it, per
+/// edge on one shard and [`DEFAULT_BATCH`] when sharded.
+fn stream_batch(
+    flags: &HashMap<String, String>,
+    config: &EstimatorConfig,
+) -> Result<Option<usize>, String> {
+    Ok(parse_batch(flags)?.or((config.shards > 1).then_some(DEFAULT_BATCH)))
+}
+
 fn parse_batch(flags: &HashMap<String, String>) -> Result<Option<usize>, String> {
     match flags.get("batch") {
         None => Ok(None),
@@ -635,26 +649,11 @@ fn cmd_estimate(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<
     let mut config = parse_config(flags)?;
     let obs = ObsOpts::parse(flags)?;
     let rec = obs.configure(&mut config);
-    let batch = parse_batch(flags)?;
+    let batch = stream_batch(flags, &config)?;
     let edges = edge_stream(&system, order);
     let mut est = MaxCoverEstimator::new(system.num_elements(), system.num_sets(), k, alpha, &config);
     let span = rec.span("ingest");
-    if config.shards > 1 {
-        est.ingest_sharded(&edges, config.shards, batch.unwrap_or(1024));
-    } else {
-        match batch {
-            None => {
-                for &e in &edges {
-                    est.observe(e);
-                }
-            }
-            Some(b) => {
-                for chunk in edges.chunks(b) {
-                    est.observe_batch(chunk);
-                }
-            }
-        }
-    }
+    est.ingest(&edges, config.shards, batch);
     span.finish();
     let res = est.finalize();
     outln!(out, "estimate      = {:.1}", res.estimate);
@@ -698,7 +697,7 @@ fn cmd_worker(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<()
         return Err(format!("--shard {shard} out of range for --shards {shards}"));
     }
     let out_path = req(flags, "out")?;
-    let batch = parse_batch(flags)?.unwrap_or(1024);
+    let batch = parse_batch(flags)?.unwrap_or(DEFAULT_BATCH);
     let snapshot = flags.get("snapshot").cloned();
     let snapshot_every: u64 = match flags.get("snapshot-every") {
         Some(s) => parse_num(s, "snapshot-every")?,
@@ -716,13 +715,10 @@ fn cmd_worker(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<()
     };
 
     // This worker owns the `shard`-th of `shards` contiguous chunks of
-    // the arrival order — the same split `ingest_sharded` uses, so the
-    // replica it writes is the state an in-process shard would hold.
+    // the arrival order — the split `MaxCoverEstimator::ingest` uses, so
+    // the replica it writes is the state an in-process shard would hold.
     let edges = edge_stream(&system, order);
-    let chunk_len = edges.len().div_ceil(shards);
-    let lo = (shard * chunk_len).min(edges.len());
-    let hi = (lo + chunk_len).min(edges.len());
-    let chunk = &edges[lo..hi];
+    let chunk = &edges[kcov_core::shard_range(edges.len(), shards, shard)];
 
     let (n, m) = (system.num_elements(), system.num_sets());
     let mut est = match flags.get("resume") {
@@ -840,46 +836,21 @@ fn cmd_merge_from(
         }
     }
 
-    // Event mimicry (DESIGN.md §11): a single replica — or an entirely
-    // empty stream — corresponds to the serial ingestion path (no shard
-    // events, no merge span); multiple non-empty replicas correspond to
-    // `ingest_sharded` (one "shard" event per non-empty shard, then the
-    // merge span). Empty replicas are dropped: the in-process splitter
-    // never creates them.
+    // A single replica, or an entirely empty stream, is a serial run:
+    // nothing to fold. Otherwise the non-empty replicas (the in-process
+    // splitter never creates empty ones) go through the same fold as
+    // in-process `--shards N`, so the trace records the same events.
     let serial = files.len() == 1 || replicas.iter().all(|(est, _)| est.edges_seen() == 0);
-    let base = if serial {
-        let (mut base, _) = replicas.remove(0);
-        base.attach_recorder(&rec);
-        let span = rec.span("ingest");
-        span.finish();
-        base
-    } else {
+    if !serial {
         replicas.retain(|(est, _)| est.edges_seen() > 0);
-        let mut iter = replicas.into_iter();
-        let (mut base, base_ns) = iter.next().expect("at least one non-empty replica");
-        base.attach_recorder(&rec);
-        let rest: Vec<_> = iter.collect();
-        let span = rec.span("ingest");
-        for (shard, edges, ns) in std::iter::once((base.shard(), base.edges_seen(), base_ns))
-            .chain(rest.iter().map(|(r, ns)| (r.shard(), r.edges_seen(), *ns)))
-        {
-            rec.event(
-                "shard",
-                &[
-                    ("shard", Value::from(shard)),
-                    ("edges", Value::from(edges)),
-                    ("ns", Value::from(ns)),
-                ],
-            );
-        }
-        let merge_span = rec.span("merge");
-        for (replica, _) in &rest {
-            base.merge(replica);
-        }
-        merge_span.finish();
-        span.finish();
-        base
-    };
+    }
+    let (mut base, base_ns) = replicas.remove(0);
+    base.attach_recorder(&rec);
+    let span = rec.span("ingest");
+    if !serial {
+        base.fold_shards(base_ns, &replicas);
+    }
+    span.finish();
     let res = base.finalize();
     outln!(out, "estimate      = {:.1}", res.estimate);
     outln!(out, "winning z     = {}", res.winning_z);
@@ -898,13 +869,10 @@ fn cmd_twopass(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<(
     let mut config = parse_config(flags)?;
     let obs = ObsOpts::parse(flags)?;
     let rec = obs.configure(&mut config);
-    let batch = parse_batch(flags)?;
+    let batch = stream_batch(flags, &config)?;
     let edges = edge_stream(&system, order);
     let (n, m) = (system.num_elements(), system.num_sets());
-    let cover = match batch {
-        None if config.shards <= 1 => kcov_core::run_two_pass(n, m, k, alpha, &config, &edges),
-        b => kcov_core::run_two_pass_sharded(n, m, k, alpha, &config, &edges, b.unwrap_or(1024)),
-    };
+    let cover = kcov_core::run_two_pass(n, m, k, alpha, &config, &edges, batch);
     let chosen: Vec<usize> = cover.sets.iter().map(|&s| s as usize).collect();
     outln!(out, "reported sets  = {:?}", cover.sets);
     outln!(out, "real coverage  = {}", coverage_of(&system, &chosen));
@@ -932,26 +900,10 @@ fn cmd_budget(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<()
     outln!(out, "budget         = {words} words");
     outln!(out, "fitted alpha   = {:.2}", fit.alpha);
     outln!(out, "predicted max  = {} words", fit.predicted_words);
-    let batch = parse_batch(flags)?;
+    let batch = stream_batch(flags, &config)?;
     let edges = edge_stream(&system, order);
     let span = rec.span("ingest");
-    if config.shards > 1 {
-        fit.estimator
-            .ingest_sharded(&edges, config.shards, batch.unwrap_or(1024));
-    } else {
-        match batch {
-            None => {
-                for &e in &edges {
-                    fit.estimator.observe(e);
-                }
-            }
-            Some(b) => {
-                for chunk in edges.chunks(b) {
-                    fit.estimator.observe_batch(chunk);
-                }
-            }
-        }
-    }
+    fit.estimator.ingest(&edges, config.shards, batch);
     span.finish();
     let res = fit.estimator.finalize();
     outln!(out, "estimate       = {:.1}", res.estimate);
@@ -1453,18 +1405,12 @@ fn prof_live(flags: &HashMap<String, String>) -> Result<ProfSource, String> {
     let order = parse_order(flags)?;
     let mut config = parse_config(flags)?;
     config.recorder = Recorder::enabled();
-    let batch = parse_batch(flags)?.unwrap_or(1024);
+    let batch = parse_batch(flags)?.unwrap_or(DEFAULT_BATCH);
     let edges = edge_stream(&system, order);
     let mut est =
         MaxCoverEstimator::new(system.num_elements(), system.num_sets(), k, alpha, &config);
     let t0 = Instant::now();
-    if config.shards > 1 {
-        est.ingest_sharded(&edges, config.shards, batch);
-    } else {
-        for chunk in edges.chunks(batch) {
-            est.observe_batch(chunk);
-        }
-    }
+    est.ingest(&edges, config.shards, Some(batch));
     let wall_ns = t0.elapsed().as_nanos() as u64;
     let ledger = est.space_ledger_tree();
     let mut violations = ledger.audit();
@@ -1605,26 +1551,11 @@ fn cmd_report(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<()
     let mut config = parse_config(flags)?;
     let obs = ObsOpts::parse(flags)?;
     let rec = obs.configure(&mut config);
-    let batch = parse_batch(flags)?;
+    let batch = stream_batch(flags, &config)?;
     let edges = edge_stream(&system, order);
     let mut rep = MaxCoverReporter::new(system.num_elements(), system.num_sets(), k, alpha, &config);
     let span = rec.span("ingest");
-    if config.shards > 1 {
-        rep.ingest_sharded(&edges, config.shards, batch.unwrap_or(1024));
-    } else {
-        match batch {
-            None => {
-                for &e in &edges {
-                    rep.observe(e);
-                }
-            }
-            Some(b) => {
-                for chunk in edges.chunks(b) {
-                    rep.observe_batch(chunk);
-                }
-            }
-        }
-    }
+    rep.ingest(&edges, config.shards, batch);
     span.finish();
     let cover = rep.finalize();
     let chosen: Vec<usize> = cover.sets.iter().map(|&s| s as usize).collect();

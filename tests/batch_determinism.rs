@@ -66,12 +66,12 @@ fn batched_matches_serial_across_generators_orders_seeds() {
             let config = fast_config(seed ^ 0xBA7C4, n);
             for order in orders {
                 let edges = edge_stream(&system, order);
-                let serial = MaxCoverEstimator::run(n, m, k, alpha, &config, &edges);
+                let serial = MaxCoverEstimator::run(n, m, k, alpha, &config, &edges, None);
                 for threads in [1usize, 2, 4] {
                     let config = config.clone().with_threads(threads);
                     for batch in [1usize, 7, 256] {
                         let batched =
-                            MaxCoverEstimator::run_batched(n, m, k, alpha, &config, &edges, batch);
+                            MaxCoverEstimator::run(n, m, k, alpha, &config, &edges, Some(batch));
                         assert_outcomes_identical(
                             &serial,
                             &batched,
@@ -96,7 +96,7 @@ fn mixed_observe_and_batch_is_exact() {
     let edges = edge_stream(&system, ArrivalOrder::Shuffled(3));
     let config = fast_config(0x717, n).with_threads(4);
 
-    let serial = MaxCoverEstimator::run(400, 32, 3, 2.0, &config, &edges);
+    let serial = MaxCoverEstimator::run(400, 32, 3, 2.0, &config, &edges, None);
 
     let mut est = MaxCoverEstimator::new(n, m, 3, 2.0, &config);
     let mut i = 0usize;
@@ -122,7 +122,7 @@ fn degenerate_batches_and_thread_counts() {
     let system = uniform_incidence(300, 24, 0.06, 5);
     let edges = edge_stream(&system, ArrivalOrder::RoundRobin);
     let config = fast_config(12, 300);
-    let serial = MaxCoverEstimator::run(300, 24, 2, 2.0, &config, &edges);
+    let serial = MaxCoverEstimator::run(300, 24, 2, 2.0, &config, &edges, None);
 
     for threads in [0usize, 1, 64] {
         let config = config.clone().with_threads(threads);

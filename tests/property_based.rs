@@ -97,14 +97,14 @@ fn estimator_sound_on_random_instances() {
         assert!(est.space_words() > 0, "case {case}");
 
         // Batched + threaded ingestion is bit-identical.
-        let batched = MaxCoverEstimator::run_batched(
+        let batched = MaxCoverEstimator::run(
             300,
             40,
             k,
             3.0,
             &config.clone().with_threads(2),
             &edges,
-            64,
+            Some(64),
         );
         assert_eq!(
             out.estimate.to_bits(),

@@ -15,7 +15,7 @@ use maxkcov::core::{
     EstimateOutcome, EstimatorConfig, MaxCoverEstimator, MaxCoverReporter,
 };
 use maxkcov::stream::gen::{
-    planted_cover, rmat_incidence, uniform_incidence, zipf_popularity, RmatParams,
+    planted_cover, rmat_incidence, uniform_incidence, zipf_popularity, zipf_set_sizes, RmatParams,
 };
 use maxkcov::stream::{edge_stream, ArrivalOrder, Edge, SetSystem};
 
@@ -79,11 +79,11 @@ fn sharded_matches_serial_across_generators_orders_seeds() {
             let config = fast_config(seed ^ 0x54A2D, n);
             for order in orders {
                 let edges = edge_stream(&system, order);
-                let serial = MaxCoverEstimator::run(n, m, k, alpha, &config, &edges);
+                let serial = MaxCoverEstimator::run(n, m, k, alpha, &config, &edges, None);
                 for shards in [1usize, 2, 4, 7] {
                     let config = config.clone().with_shards(shards);
                     let sharded =
-                        MaxCoverEstimator::run_sharded(n, m, k, alpha, &config, &edges, 64);
+                        MaxCoverEstimator::run(n, m, k, alpha, &config, &edges, Some(64));
                     assert_outcomes_equivalent(
                         &serial,
                         &sharded,
@@ -105,7 +105,7 @@ fn uneven_and_empty_splits_merge_exactly() {
     let m = system.num_sets();
     let config = fast_config(0xE11, n);
     let edges = edge_stream(&system, ArrivalOrder::Shuffled(7));
-    let serial = MaxCoverEstimator::run(n, m, 4, 3.0, &config, &edges);
+    let serial = MaxCoverEstimator::run(n, m, 4, 3.0, &config, &edges, None);
     let proto = MaxCoverEstimator::new(n, m, 4, 3.0, &config);
 
     // Split points producing: an empty first shard, a one-edge shard, a
@@ -165,7 +165,7 @@ fn merge_is_associative_and_commutative() {
         );
 
         // And both agree with serial single-stream ingestion.
-        let serial = MaxCoverEstimator::run(n, m, 4, 3.0, &config, &edges);
+        let serial = MaxCoverEstimator::run(n, m, 4, 3.0, &config, &edges, None);
         assert_outcomes_equivalent(&serial, &left.finalize(), &format!("{name}: vs serial"));
     }
 }
@@ -180,10 +180,10 @@ fn reporter_sharded_matches_serial() {
     let m = inst.system.num_sets();
     let config = fast_config(0x8e9, n);
     let edges = edge_stream(&inst.system, ArrivalOrder::Shuffled(2));
-    let serial = MaxCoverReporter::run(n, m, 6, 3.0, &config, &edges);
+    let serial = MaxCoverReporter::run(n, m, 6, 3.0, &config, &edges, None);
     for shards in [2usize, 4, 7] {
         let config = config.clone().with_shards(shards);
-        let sharded = MaxCoverReporter::run_sharded(n, m, 6, 3.0, &config, &edges, 64);
+        let sharded = MaxCoverReporter::run(n, m, 6, 3.0, &config, &edges, Some(64));
         assert_eq!(serial.sets, sharded.sets, "shards={shards}: cover sets");
         assert_eq!(
             serial.estimate.to_bits(),
@@ -209,10 +209,10 @@ fn merged_space_never_exceeds_serial_on_zoo() {
             let m = system.num_sets();
             let config = fast_config(seed ^ 0x5ACE, n);
             let edges = edge_stream(&system, ArrivalOrder::Shuffled(3));
-            let serial = MaxCoverEstimator::run(n, m, 4, 3.0, &config, &edges);
+            let serial = MaxCoverEstimator::run(n, m, 4, 3.0, &config, &edges, None);
             for shards in [2usize, 4] {
                 let config = config.clone().with_shards(shards);
-                let sharded = MaxCoverEstimator::run_sharded(n, m, 4, 3.0, &config, &edges, 64);
+                let sharded = MaxCoverEstimator::run(n, m, 4, 3.0, &config, &edges, Some(64));
                 assert_outcomes_equivalent(
                     &serial,
                     &sharded,
@@ -346,13 +346,32 @@ fn trivial_branch_shards_merge_bit_exactly() {
     let config = EstimatorConfig::practical(31);
     let edges = edge_stream(&system, ArrivalOrder::RoundRobin);
     // k·α = 8·4 = 32 ≥ m = 12 → trivial regime.
-    let serial = MaxCoverEstimator::run(n, m, 8, 4.0, &config, &edges);
+    let serial = MaxCoverEstimator::run(n, m, 8, 4.0, &config, &edges, None);
     assert!(serial.trivial);
     for shards in [2usize, 5] {
         let config = config.clone().with_shards(shards);
-        let sharded = MaxCoverEstimator::run_sharded(n, m, 8, 4.0, &config, &edges, 32);
+        let sharded = MaxCoverEstimator::run(n, m, 8, 4.0, &config, &edges, Some(32));
         assert!(sharded.trivial);
         assert_eq!(serial.estimate.to_bits(), sharded.estimate.to_bits());
         assert_eq!(serial.space_words, sharded.space_words, "trivial merge is bit-exact");
     }
+}
+
+#[test]
+fn ingest_after_edges_counts_each_edge_once() {
+    // Only a fresh estimator is the merge identity: sharding one that
+    // has already seen edges would clone those edges into every replica
+    // and merge them back once per replica. `ingest` feeds a fed
+    // estimator serially instead, so two halves add up to one stream.
+    let system = zipf_set_sizes(2_000, 300, 200, 1.05, 7);
+    let (n, m) = (system.num_elements(), system.num_sets());
+    let config = EstimatorConfig::practical(3);
+    let edges = edge_stream(&system, ArrivalOrder::Shuffled(5));
+    let serial = MaxCoverEstimator::run(n, m, 8, 2.0, &config, &edges, None);
+    let (first, second) = edges.split_at(edges.len() / 2);
+    let mut est = MaxCoverEstimator::new(n, m, 8, 2.0, &config);
+    est.ingest(first, 2, Some(256));
+    est.ingest(second, 2, Some(256));
+    assert_eq!(est.edges_seen(), edges.len() as u64, "edges counted once");
+    assert_outcomes_equivalent(&serial, &est.finalize(), "two sharded halves");
 }

@@ -131,15 +131,15 @@ fn batched_smoke_at_max_threads() {
     let edges = edge_stream(&system, ArrivalOrder::RoundRobin);
     let config = fast_config(9, n);
 
-    let serial = maxkcov::core::MaxCoverEstimator::run(n, m, 4, 2.5, &config, &edges);
-    let wide = maxkcov::core::MaxCoverEstimator::run_batched(
+    let serial = maxkcov::core::MaxCoverEstimator::run(n, m, 4, 2.5, &config, &edges, None);
+    let wide = maxkcov::core::MaxCoverEstimator::run(
         n,
         m,
         4,
         2.5,
         &config.clone().with_threads(max_threads * 2),
         &edges,
-        1024,
+        Some(1024),
     );
     assert_eq!(serial.estimate.to_bits(), wide.estimate.to_bits());
     assert_eq!(serial.winning_z, wide.winning_z);

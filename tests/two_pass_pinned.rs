@@ -9,7 +9,7 @@
 //! same literal syntax as `PINNED`, so an intended change can be
 //! re-pinned by pasting it.
 
-use maxkcov::core::{run_two_pass, run_two_pass_sharded, EstimatorConfig, ReportedCover};
+use maxkcov::core::{run_two_pass, EstimatorConfig, ReportedCover};
 use maxkcov::stream::gen::{few_large, planted_cover, zipf_popularity};
 use maxkcov::stream::{edge_stream, ArrivalOrder, SetSystem};
 
@@ -32,10 +32,10 @@ fn run(system: &SetSystem, seed: u64, mode: &str) -> ReportedCover {
     let edges = edge_stream(system, ArrivalOrder::Shuffled(seed));
     let config = EstimatorConfig::practical(seed);
     match mode {
-        "per-edge" => run_two_pass(n, m, K, ALPHA, &config, &edges),
-        "batch64" => run_two_pass_sharded(n, m, K, ALPHA, &config, &edges, 64),
-        "shards3" => run_two_pass_sharded(n, m, K, ALPHA, &config.with_shards(3), &edges, 64),
-        "threads2" => run_two_pass_sharded(n, m, K, ALPHA, &config.with_threads(2), &edges, 64),
+        "per-edge" => run_two_pass(n, m, K, ALPHA, &config, &edges, None),
+        "batch64" => run_two_pass(n, m, K, ALPHA, &config, &edges, Some(64)),
+        "shards3" => run_two_pass(n, m, K, ALPHA, &config.with_shards(3), &edges, Some(64)),
+        "threads2" => run_two_pass(n, m, K, ALPHA, &config.with_threads(2), &edges, Some(64)),
         other => panic!("unknown mode {other}"),
     }
 }
