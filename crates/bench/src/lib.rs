@@ -163,9 +163,7 @@ pub fn hot_path_breakdown(
     let rec = kcov_obs::Recorder::enabled();
     est.attach_recorder(&rec);
     let t = Instant::now();
-    for chunk in edges.chunks(batch) {
-        est.observe_batch(chunk);
-    }
+    est.ingest(edges, 1, Some(batch));
     let total_ns = t.elapsed().as_nanos() as u64;
     est.attach_recorder(&kcov_obs::Recorder::disabled());
     let (hash, reject, update) = ledger_phases(&est.space_ledger_tree());

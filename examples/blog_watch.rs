@@ -49,9 +49,7 @@ fn main() {
     let alpha = 4.0;
     let config = EstimatorConfig::practical(3);
     let mut reporter = MaxCoverReporter::new(topics, blogs, k, alpha, &config);
-    for &e in &stream {
-        reporter.observe(e);
-    }
+    reporter.ingest(&stream, 1, None);
     let cover = reporter.finalize();
 
     // Offline materialization for ground truth + the set-arrival

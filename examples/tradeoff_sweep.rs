@@ -25,9 +25,7 @@ fn main() {
         let mut est = MaxCoverEstimator::new(n, m, k, alpha, &config);
         // Batched ingestion: bit-identical to per-edge `observe`,
         // cheaper per edge, and lane-parallel across threads.
-        for chunk in edges.chunks(8192) {
-            est.observe_batch(chunk);
-        }
+        est.ingest(&edges, 1, Some(8192));
         let out = est.finalize();
         println!(
             "{:>6} {:>14} {:>12.0} {:>12.0} {:>10.3}",
