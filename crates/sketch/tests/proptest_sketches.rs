@@ -10,7 +10,7 @@
 use kcov_hash::SplitMix64;
 use kcov_sketch::{
     AmsF2, Bjkst, ContributingConfig, CountMin, CountSketch, F2Contributing, F2HeavyHitter, Kmv,
-    L0Estimator, SpaceUsage,
+    L0Estimator, SpaceUsage, WireEncode,
 };
 
 const CASES: u64 = 48;
@@ -353,5 +353,30 @@ fn contributing_batch_any_chunking_equals_sequential() {
         }
         assert_eq!(serial.report(), batched.report(), "case {case}");
         assert_eq!(serial.space_words(), batched.space_words(), "case {case}");
+    }
+}
+
+/// `F2Contributing::new(c, ..)` is the one-tier case of
+/// `new_paired(c.clone(), c, ..)`: same level schedule, seed order,
+/// heavy-hitter shapes and sampling hash, so after the same stream the
+/// two encode to the same bytes.
+#[test]
+fn contributing_new_equals_self_paired() {
+    for case in 0..CASES {
+        let mut rng = SplitMix64::new(0x9A1D ^ case.wrapping_mul(0x51ED));
+        let items = expand(&random_stream(&mut rng));
+        let seed = rng.next_below(1000);
+        let mut config =
+            ContributingConfig::new(0.05 + 0.9 * (case % 7) as f64 / 7.0, 1 << (case % 11));
+        config.hh_width_factor = [32.0, 4.0, 1.5][(case % 3) as usize];
+        config.hh_rows = 1 + (case % 5) as usize;
+        config.hh_capacity_factor = [8.0, 2.0][(case % 2) as usize];
+        config.survivors_per_class = [16, 4, 1][(case % 3) as usize];
+        config.sampling_degree = [None, Some(2), Some(4)][(case % 3) as usize];
+        let mut single = F2Contributing::new(config.clone(), 500, 500, seed);
+        let mut paired = F2Contributing::new_paired(config.clone(), config, 500, 500, seed);
+        single.insert_batch(&items);
+        paired.insert_batch(&items);
+        assert_eq!(single.to_bytes(), paired.to_bytes(), "case {case}");
     }
 }
