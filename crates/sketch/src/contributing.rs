@@ -115,45 +115,10 @@ struct Level {
 impl F2Contributing {
     /// Create a finder for threshold `config.gamma`, guessing class sizes
     /// `2^0, 2^1, …` up to `config.max_class_size`. `m` and `n` size the
-    /// `Θ(log(mn))`-wise sampling hashes (Claim 2.8).
+    /// `Θ(log(mn))`-wise sampling hashes (Claim 2.8). This is the
+    /// single-tier case of [`F2Contributing::new_paired`].
     pub fn new(config: ContributingConfig, m: usize, n: usize, seed: u64) -> Self {
-        let mut seq = SeedSequence::labeled(seed, "f2-contributing");
-        let max_level = config.max_class_size.max(1).next_power_of_two().trailing_zeros();
-        let phi = (config.gamma * config.phi_factor).clamp(1e-9, 1.0);
-        let hh_config = |phi: f64| {
-            let mut c = HeavyHitterConfig::for_phi(phi);
-            c.width_factor = config.hh_width_factor;
-            c.rows = config.hh_rows;
-            c.capacity_factor = config.hh_capacity_factor;
-            c
-        };
-        let hash = match config.sampling_degree {
-            Some(d) => KWise::new(d, seq.next_seed()),
-            None => log_wise(m, n, seq.next_seed()),
-        };
-        // Levels whose modulus does not exceed `survivors_per_class`
-        // sample with probability 1 and are therefore identical to the
-        // unsampled level — build one unsampled level plus the truly
-        // subsampled ones. (Classes of size ≤ survivors are caught by
-        // the unsampled heavy hitter directly, exactly as in the paper's
-        // small-i guesses.)
-        let mut levels = vec![Level {
-            modulus: 1,
-            keep: 1,
-            hh: F2HeavyHitter::new(hh_config(phi), seq.next_seed()),
-        }];
-        for i in 1..=max_level {
-            let modulus = 1u64 << i;
-            if modulus <= config.survivors_per_class {
-                continue;
-            }
-            levels.push(Level {
-                modulus,
-                keep: config.survivors_per_class,
-                hh: F2HeavyHitter::new(hh_config(phi), seq.next_seed()),
-            });
-        }
-        F2Contributing { hash, levels }
+        Self::new_paired(config.clone(), config, m, n, seed)
     }
 
     /// Two-tier finder: one dyadic level schedule up to
@@ -213,6 +178,12 @@ impl F2Contributing {
                 hh_config(&narrow)
             }
         };
+        // Levels whose modulus does not exceed `survivors_per_class`
+        // sample with probability 1 and are therefore identical to the
+        // unsampled level — build one unsampled level plus the truly
+        // subsampled ones. (Classes of size ≤ survivors are caught by
+        // the unsampled heavy hitter directly, exactly as in the paper's
+        // small-i guesses.)
         let mut levels = vec![Level {
             modulus: 1,
             keep: 1,
