@@ -4,7 +4,7 @@
 use std::hint::black_box;
 
 use kcov_bench::{fmt, median_ns_per_op, print_table};
-use kcov_hash::{four_wise, log_wise, pairwise, MultiplyShift, RangeHash, SignHash, TabulationHash};
+use kcov_hash::{four_wise, log_wise, pairwise, RangeHash, SignHash};
 
 const RUNS: usize = 5;
 const MIN_MS: u64 = 10;
@@ -23,36 +23,6 @@ fn main() {
         let mut i = 0u64;
         row(
             name,
-            median_ns_per_op(
-                || {
-                    i = i.wrapping_add(0x9e3779b97f4a7c15);
-                    black_box(h.hash(black_box(i)));
-                },
-                RUNS,
-                MIN_MS,
-            ),
-        );
-    }
-    {
-        let h = TabulationHash::new(1);
-        let mut i = 0u64;
-        row(
-            "tabulation",
-            median_ns_per_op(
-                || {
-                    i = i.wrapping_add(0x9e3779b97f4a7c15);
-                    black_box(h.hash_u64(black_box(i)));
-                },
-                RUNS,
-                MIN_MS,
-            ),
-        );
-    }
-    {
-        let h = MultiplyShift::new(20, 1);
-        let mut i = 0u64;
-        row(
-            "multiply_shift",
             median_ns_per_op(
                 || {
                     i = i.wrapping_add(0x9e3779b97f4a7c15);

@@ -16,11 +16,6 @@ fn main() {
     for i in 0..200_000u64 { hh.insert(i % 5000); }
     println!("F2HeavyHitter insert: {:?}/op", t.elapsed() / 200_000);
 
-    let mut ams = kcov_sketch::AmsF2::new(3, 16, 1);
-    let t = Instant::now();
-    for i in 0..200_000u64 { ams.insert(i % 5000); }
-    println!("AmsF2 3x16 insert:    {:?}/op", t.elapsed() / 200_000);
-
     let mut cs = kcov_sketch::CountSketch::new(5, 4096, 1);
     let t = Instant::now();
     for i in 0..200_000u64 { cs.insert(i % 5000); }

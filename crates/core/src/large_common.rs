@@ -223,15 +223,6 @@ impl LargeCommon {
             .count()
     }
 
-    /// The sets sampled by a lane (for reporting).
-    pub fn sampled_sets_of_lane(&self, lane_idx: usize) -> Vec<u32> {
-        let lane = &self.lanes[lane_idx];
-        (0..self.m as u64)
-            .filter(|&s| self.gate_of_set(s) & (lane.buckets - 1) == 0)
-            .map(|s| s as u32)
-            .collect()
-    }
-
     /// The sets of one reporting group within a lane.
     pub fn group_sets(&self, lane_idx: usize, group: u64) -> Vec<u32> {
         let lane = &self.lanes[lane_idx];

@@ -170,13 +170,6 @@ impl UniverseReducer {
         }));
     }
 
-    /// Whether `other` applies the same 4-wise mix (the lane-invariant
-    /// sharing contract of the estimator construction).
-    pub fn same_mix(&self, other: &Self) -> bool {
-        let probes = (0..4u64).map(|i| 0x5eed_c0de ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        probes.clone().all(|p| self.hash.hash(p) == other.hash.hash(p))
-    }
-
     /// The pseudo-universe size `z`.
     pub fn z(&self) -> u64 {
         self.z

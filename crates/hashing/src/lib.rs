@@ -10,11 +10,8 @@
 //!   `GF(2^61 − 1)`, which is exactly d-wise independent (Lemma A.2 gives
 //!   the `d·log(mn)`-bit representation; a polynomial of degree d−1 with
 //!   uniform coefficients achieves it).
-//! * [`SignHash`] — 4-wise independent ±1 values for AMS-style `F2`
-//!   sketches.
-//! * [`TabulationHash`] — simple tabulation hashing, a fast 3-wise
-//!   independent family with Chernoff-like concentration, used where raw
-//!   speed matters more than provable d-wise independence.
+//! * [`SignHash`] — ±1 values (4-wise, or pairwise) for CountSketch's
+//!   signed counters.
 //! * [`SplitMix64`] — a tiny deterministic PRNG used to derive coefficients
 //!   and sub-seeds reproducibly without external dependencies.
 //!
@@ -24,17 +21,13 @@
 
 pub mod field;
 pub mod kwise;
-pub mod multiply_shift;
 pub mod poly;
 pub mod seeded;
-pub mod tabulation;
 
 pub use field::{Fp, MERSENNE_P};
 pub use kwise::{four_wise, log_wise, pairwise, KWise, SignHash};
-pub use multiply_shift::MultiplyShift;
 pub use poly::PolyHash;
 pub use seeded::{SeedSequence, SplitMix64};
-pub use tabulation::TabulationHash;
 
 /// A hash function from `u64` keys to a caller-chosen range.
 ///
@@ -74,10 +67,7 @@ pub trait RangeHash {
     /// only restructure the evaluation (SIMD-friendly blocked layouts),
     /// never change the function. This is the batched hot-path entry the
     /// estimator's hash-once fingerprint pipeline is built on.
-    fn hash_batch(&self, keys: &[u64], out: &mut Vec<u64>) {
-        out.clear();
-        out.extend(keys.iter().map(|&k| self.hash(k)));
-    }
+    fn hash_batch(&self, keys: &[u64], out: &mut Vec<u64>);
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! bit-for-bit determinism contract of the batched ingestion engine, so
 //! this suite is the proof obligation the hot-path refactor rests on.
 
-use kcov_hash::{four_wise, log_wise, pairwise, KWise, PolyHash, RangeHash, TabulationHash, MERSENNE_P};
+use kcov_hash::{four_wise, log_wise, pairwise, KWise, PolyHash, RangeHash, MERSENNE_P};
 
 /// Key sets exercising every code path of the blocked evaluator: empty,
 /// sub-block, exactly one block, block + tail, many blocks + tail, and
@@ -72,13 +72,6 @@ fn kwise_constructors_match_scalar() {
     assert_equivalent("log_wise(small)", &log_wise(16, 16, 13));
     assert_equivalent("log_wise(large)", &log_wise(1 << 20, 1 << 20, 17));
     assert_equivalent("KWise(d=9)", &KWise::new(9, 23));
-}
-
-#[test]
-fn tabulation_uses_default_batch_path() {
-    // TabulationHash takes the trait's default scalar-loop hash_batch;
-    // the contract (clear + per-key equality) must hold there too.
-    assert_equivalent("TabulationHash", &TabulationHash::new(29));
 }
 
 #[test]

@@ -11,7 +11,7 @@
 //! Design rules enforced across the workspace:
 //!
 //! * **No locks on per-edge paths.** Sketches maintain plain `u64`
-//!   rare-event counters (evictions, prunes, level rises, merges) next
+//!   rare-event counters (evictions, prunes, merges) next
 //!   to the branches where those events already happen; the counters
 //!   are *harvested* into a `Recorder` once, at finalize, as
 //!   [`SketchStats`] snapshots. The shared sink is only touched at
@@ -502,7 +502,7 @@ pub struct SketchStats {
     pub capacity: u64,
     /// Entries dropped to stay within capacity.
     pub evictions: u64,
-    /// Bulk shrink passes (heavy-hitter prunes, BJKST level rises).
+    /// Bulk shrink passes (heavy-hitter prunes).
     pub prunes: u64,
     /// Merge invocations absorbed into this state.
     pub merges: u64,
@@ -524,7 +524,7 @@ impl SketchStats {
     /// delta-harvesting hook behind in-flight heartbeat snapshots.
     /// Monotone counters (updates, evictions, prunes, merges) yield the
     /// exact increment; `fill` can legitimately shrink between
-    /// snapshots (prunes, level rises), in which case its delta
+    /// snapshots (prunes, evictions), in which case its delta
     /// saturates to zero and the shrink shows up in `prunes` instead.
     pub fn delta_since(&self, baseline: &SketchStats) -> SketchStats {
         SketchStats {
@@ -680,11 +680,6 @@ impl Histogram {
             }
         }
         Some(self.max)
-    }
-
-    /// Bucket counts, dense (length [`HISTOGRAM_BUCKETS`]).
-    pub fn bucket_counts(&self) -> &[u64; HISTOGRAM_BUCKETS] {
-        &self.counts
     }
 
     /// Non-empty buckets as `(bucket index, count)` in index order.

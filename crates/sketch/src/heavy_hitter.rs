@@ -182,11 +182,6 @@ impl F2HeavyHitter {
         self.sketch.f2_estimate()
     }
 
-    /// `(1 ± 1/2)`-approximate frequency of an arbitrary item.
-    pub fn frequency_estimate(&self, item: u64) -> i64 {
-        self.sketch.query(item)
-    }
-
     /// All tracked items whose re-estimated frequency passes the
     /// (slacked) `φ` threshold, with their approximate frequencies,
     /// sorted by decreasing estimate.

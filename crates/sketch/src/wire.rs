@@ -17,10 +17,7 @@
 use kcov_hash::{KWise, SignHash};
 use kcov_obs::{Histogram, SketchStats};
 
-use crate::ams_f2::AmsF2;
-use crate::bjkst::Bjkst;
 use crate::contributing::F2Contributing;
-use crate::count_min::CountMin;
 use crate::count_sketch::CountSketch;
 use crate::heavy_hitter::{F2HeavyHitter, HeavyHitterConfig};
 use crate::l0::{Kmv, L0Estimator};
@@ -261,11 +258,8 @@ pub fn expect_section_end(tag: u64, body: &[u8]) -> Result<(), WireError> {
 // ---- sketches -------------------------------------------------------
 
 const TAG_KMV: u64 = 0x4b4d56; // "KMV"
-const TAG_AMS: u64 = 0x414d53; // "AMS"
 const TAG_CS: u64 = 0x4353; // "CS"
-const TAG_CM: u64 = 0x434d; // "CM"
 const TAG_L0: u64 = 0x4c30; // "L0"
-const TAG_BJKST: u64 = 0x424a4b5354; // "BJKST"
 const TAG_HH: u64 = 0x4848; // "HH"
 const TAG_FC: u64 = 0x4643; // "FC"
 const TAG_HIST: u64 = 0x48495354; // "HIST"
@@ -286,43 +280,6 @@ impl WireEncode for Kmv {
         let hash = take_kwise(input)?;
         let vals = take_u64s(input)?;
         Kmv::from_parts(k, hash, vals).map_err(err)
-    }
-}
-
-impl WireEncode for AmsF2 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, TAG_AMS);
-        let (rows, cols) = self.shape();
-        put_u64(out, rows as u64);
-        put_u64(out, cols as u64);
-        for s in self.sign_hashes() {
-            put_sign(out, s);
-        }
-        put_u64(out, self.counters().len() as u64);
-        for &c in self.counters() {
-            put_i64(out, c);
-        }
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        if take_u64(input)? != TAG_AMS {
-            return Err(err("bad AMS tag"));
-        }
-        let rows = take_u64(input)? as usize;
-        let cols = take_u64(input)? as usize;
-        let cells = rows
-            .checked_mul(cols)
-            .filter(|&c| c <= input.len())
-            .ok_or_else(|| err(format!("AMS table {rows} x {cols} exceeds input")))?;
-        let signs = (0..cells)
-            .map(|_| take_sign(input))
-            .collect::<Result<Vec<_>, _>>()?;
-        let n = take_u64(input)? as usize;
-        if n != cells {
-            return Err(err("AMS counter count mismatch"));
-        }
-        let counters = (0..n).map(|_| take_i64(input)).collect::<Result<Vec<_>, _>>()?;
-        AmsF2::from_parts(rows, cols, signs, counters).map_err(err)
     }
 }
 
@@ -360,30 +317,6 @@ impl WireEncode for CountSketch {
     }
 }
 
-impl WireEncode for CountMin {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, TAG_CM);
-        let (rows, width) = self.shape();
-        put_u64(out, rows as u64);
-        put_u64(out, width as u64);
-        for h in self.hashes() {
-            put_kwise(out, h);
-        }
-        put_u64s(out, self.table());
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        if take_u64(input)? != TAG_CM {
-            return Err(err("bad CountMin tag"));
-        }
-        let rows = take_u64(input)? as usize;
-        let width = take_u64(input)? as usize;
-        let hashes = (0..rows).map(|_| take_kwise(input)).collect::<Result<Vec<_>, _>>()?;
-        let table = take_u64s(input)?;
-        CountMin::from_parts(rows, width, hashes, table).map_err(err)
-    }
-}
-
 impl WireEncode for L0Estimator {
     fn encode(&self, out: &mut Vec<u8>) {
         put_u64(out, TAG_L0);
@@ -405,27 +338,6 @@ impl WireEncode for L0Estimator {
         }
         let reps = (0..n).map(|_| Kmv::decode(input)).collect::<Result<Vec<_>, _>>()?;
         L0Estimator::from_parts(reps).map_err(err)
-    }
-}
-
-impl WireEncode for Bjkst {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, TAG_BJKST);
-        put_u64(out, self.capacity() as u64);
-        put_u64(out, u64::from(self.level()));
-        put_kwise(out, self.hash());
-        put_u64s(out, &self.buffer_values());
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        if take_u64(input)? != TAG_BJKST {
-            return Err(err("bad BJKST tag"));
-        }
-        let capacity = take_u64(input)? as usize;
-        let level = take_u64(input)? as u32;
-        let hash = take_kwise(input)?;
-        let values = take_u64s(input)?;
-        Bjkst::from_parts(capacity, level, hash, values).map_err(err)
     }
 }
 
@@ -654,16 +566,6 @@ mod tests {
     }
 
     #[test]
-    fn ams_roundtrip() {
-        let mut sk = AmsF2::new(3, 8, 5);
-        for i in 0..2_000u64 {
-            sk.insert(i % 97);
-        }
-        let back = AmsF2::from_bytes(&sk.to_bytes()).unwrap();
-        assert_eq!(sk.estimate(), back.estimate());
-    }
-
-    #[test]
     fn count_sketch_roundtrip_and_continue() {
         let mut cs = CountSketch::new(5, 64, 9);
         for i in 0..3_000u64 {
@@ -678,18 +580,6 @@ mod tests {
     }
 
     #[test]
-    fn count_min_roundtrip() {
-        let mut cm = CountMin::new(4, 32, 3);
-        for i in 0..500u64 {
-            cm.insert(i % 50, 2);
-        }
-        let back = CountMin::from_bytes(&cm.to_bytes()).unwrap();
-        for i in 0..50u64 {
-            assert_eq!(cm.query(i), back.query(i));
-        }
-    }
-
-    #[test]
     fn l0_estimator_roundtrip_and_continue() {
         let mut est = L0Estimator::new(32, 3, 11);
         for i in 0..4_000u64 {
@@ -701,23 +591,6 @@ mod tests {
         for i in 0..2_000u64 {
             original.insert(500_000 + i);
             back.insert(500_000 + i);
-        }
-        assert_eq!(original.estimate(), back.estimate());
-    }
-
-    #[test]
-    fn bjkst_roundtrip_and_continue() {
-        let mut b = Bjkst::new(64, 23);
-        for i in 0..8_000u64 {
-            b.insert(i);
-        }
-        let mut back = Bjkst::from_bytes(&b.to_bytes()).unwrap();
-        assert_eq!(b.estimate(), back.estimate());
-        assert_eq!(b.level(), back.level());
-        let mut original = b.clone();
-        for i in 8_000..16_000u64 {
-            original.insert(i);
-            back.insert(i);
         }
         assert_eq!(original.estimate(), back.estimate());
     }
@@ -770,9 +643,9 @@ mod tests {
         for cut in [0usize, 1, 7, 16, bytes.len() / 2, bytes.len() - 1] {
             assert!(F2HeavyHitter::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
         }
-        let b = Bjkst::new(8, 1);
-        let bytes = b.to_bytes();
-        assert!(Bjkst::from_bytes(&bytes[..bytes.len() - 1]).is_err());
+        let cs = CountSketch::new(3, 8, 1);
+        let bytes = cs.to_bytes();
+        assert!(CountSketch::from_bytes(&bytes[..bytes.len() - 1]).is_err());
         let est = L0Estimator::new(8, 2, 1);
         let bytes = est.to_bytes();
         assert!(L0Estimator::from_bytes(&bytes[..bytes.len() - 1]).is_err());
@@ -781,9 +654,9 @@ mod tests {
     #[test]
     fn new_type_wrong_tags_rejected() {
         let est = L0Estimator::new(8, 2, 1);
-        assert!(Bjkst::from_bytes(&est.to_bytes()).is_err());
-        let b = Bjkst::new(8, 1);
-        assert!(L0Estimator::from_bytes(&b.to_bytes()).is_err());
+        assert!(CountSketch::from_bytes(&est.to_bytes()).is_err());
+        let cs = CountSketch::new(3, 8, 1);
+        assert!(L0Estimator::from_bytes(&cs.to_bytes()).is_err());
         let hh = F2HeavyHitter::for_phi(0.5, 1);
         assert!(F2Contributing::from_bytes(&hh.to_bytes()).is_err());
     }
@@ -800,8 +673,8 @@ mod tests {
 
     #[test]
     fn wrong_tag_rejected() {
-        let cm = CountMin::new(2, 8, 1);
-        let bytes = cm.to_bytes();
+        let cs = CountSketch::new(2, 8, 1);
+        let bytes = cs.to_bytes();
         assert!(Kmv::from_bytes(&bytes).is_err());
     }
 

@@ -1,6 +1,6 @@
 //! Distributed sketching: shard the edge stream across workers, sketch
 //! each shard independently, merge, then solve — the deployment pattern
-//! the mergeable-sketch substrate (KMV / BJKST / CountSketch / AMS)
+//! the mergeable-sketch substrate (KMV / L0 / CountSketch / heavy hitters)
 //! enables.
 //!
 //! Here four "workers" each see a quarter of a shuffled edge stream,

@@ -13,8 +13,7 @@ use maxkcov::core::{
 };
 use maxkcov::obs::{Histogram, Recorder, SketchStats};
 use maxkcov::sketch::{
-    AmsF2, Bjkst, ContributingConfig, CountMin, CountSketch, F2Contributing, F2HeavyHitter,
-    Kmv, L0Estimator, WireEncode,
+    ContributingConfig, CountSketch, F2Contributing, F2HeavyHitter, Kmv, L0Estimator, WireEncode,
 };
 use maxkcov::stream::gen::zipf_popularity;
 use maxkcov::stream::{edge_stream, ArrivalOrder};
@@ -84,15 +83,17 @@ fn individual_sketches_roundtrip_and_reject_mangling() {
 
     let mut kmv = Kmv::new(16, 7);
     let mut l0 = L0Estimator::new(8, 5, 3);
-    let mut ams = AmsF2::new(5, 64, 11);
-    let mut bjkst = Bjkst::new(32, 19);
+    // A second KMV at a larger k and a 5-row CountSketch fed unit
+    // inserts give the mangling battery two more sketch shapes.
+    let mut kmv32 = Kmv::new(32, 19);
+    let mut cs5 = CountSketch::new(5, 64, 11);
     let mut hh = F2HeavyHitter::for_phi(0.05, 23);
     let mut fc = F2Contributing::new(ContributingConfig::new(0.1, 64), 40, 1000, 29);
     for &x in &items {
         kmv.insert(x);
         l0.insert(x);
-        ams.insert(x);
-        bjkst.insert(x);
+        kmv32.insert(x);
+        cs5.insert(x);
         hh.insert(x);
         fc.insert(x);
     }
@@ -103,8 +104,8 @@ fn individual_sketches_roundtrip_and_reject_mangling() {
     }
     exhaust("Kmv", &kmv);
     exhaust("L0Estimator", &l0);
-    exhaust("AmsF2", &ams);
-    exhaust("Bjkst", &bjkst);
+    exhaust("Kmv(k=32)", &kmv32);
+    exhaust("CountSketch(5x64)", &cs5);
     exhaust("F2HeavyHitter", &hh);
     exhaust("F2Contributing", &fc);
 
@@ -132,13 +133,13 @@ fn individual_sketches_roundtrip_and_reject_mangling() {
     exhaust("F2Contributing(paired)", &paired);
 
     let mut cs = CountSketch::new(3, 32, 13);
-    let mut cm = CountMin::new(3, 32, 17);
+    let mut positive = CountSketch::new(3, 32, 17);
     for &x in &items {
         cs.update(x, (x % 7) as i64 - 3);
-        cm.insert(x, x % 5 + 1);
+        positive.update(x, (x % 5 + 1) as i64);
     }
     exhaust("CountSketch", &cs);
-    exhaust("CountMin", &cm);
+    exhaust("CountSketch(positive)", &positive);
 }
 
 #[test]
