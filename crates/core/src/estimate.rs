@@ -19,7 +19,7 @@ use kcov_sketch::SpaceUsage;
 use kcov_stream::Edge;
 
 use crate::fingerprint::{EdgeFingerprints, FingerprintBlock};
-use crate::oracle::{Oracle, OracleOutput, SubroutineKind};
+use crate::oracle::{Oracle, OracleDiagnostics, OracleOutput, SubroutineKind};
 use crate::params::{ParamMode, Params};
 use crate::telemetry::{self, HeartbeatSnap, IngestHists, LaneBeat, LaneTimes, StageTimes};
 use crate::universe::UniverseReducer;
@@ -788,15 +788,22 @@ impl MaxCoverEstimator {
     /// reported total exactly, and a closing "summary" event.
     pub fn finalize(&self) -> EstimateOutcome {
         let span = self.rec.span("finalize");
-        let outcome = self.finalize_outcome();
+        // Each lane's subroutines are finalized exactly once; the
+        // snapshot reuses these results.
+        let lanes: Vec<(OracleOutput, OracleDiagnostics)> = self
+            .lanes
+            .iter()
+            .map(|lane| lane.oracle.finalize_with_estimates())
+            .collect();
+        let outcome = self.finalize_outcome(&lanes);
         if self.rec.is_enabled() {
-            self.record_snapshot(&outcome);
+            self.record_snapshot(&outcome, &lanes);
         }
         span.finish();
         outcome
     }
 
-    fn finalize_outcome(&self) -> EstimateOutcome {
+    fn finalize_outcome(&self, lanes: &[(OracleOutput, OracleDiagnostics)]) -> EstimateOutcome {
         if let Some(t) = &self.trivial {
             return EstimateOutcome {
                 estimate: t.estimate().min(self.n as f64 / 1.0),
@@ -809,11 +816,12 @@ impl MaxCoverEstimator {
             };
         }
         // est_z = max over the z's repetitions.
-        let mut per_lane: Vec<(usize, u64, OracleOutput)> = self
+        let mut per_lane: Vec<(usize, u64, &OracleOutput)> = self
             .lanes
             .iter()
+            .zip(lanes)
             .enumerate()
-            .map(|(i, lane)| (i, lane.z, lane.oracle.finalize()))
+            .map(|(i, (lane, (out, _)))| (i, lane.z, out))
             .collect();
         // Prefer qualifying lanes (est_z ≥ z/(4α)); among them, the
         // largest estimate. Fall back to the best overall estimate.
@@ -828,7 +836,7 @@ impl MaxCoverEstimator {
             .find(|(_, z, out)| out.estimate >= *z as f64 / (4.0 * self.alpha));
         let pick = qualifying.or_else(|| per_lane.last());
         match pick {
-            Some(&(idx, z, ref out)) if out.estimate > 0.0 => EstimateOutcome {
+            Some(&(idx, z, out)) if out.estimate > 0.0 => EstimateOutcome {
                 estimate: out.estimate,
                 trivial: false,
                 winning_z: z,
@@ -850,10 +858,12 @@ impl MaxCoverEstimator {
     }
 
     /// Emit the finalize-time observability snapshot (recorder known to
-    /// be enabled). The per-lane oracle finalizations here re-run the
-    /// (cheap, state-free) estimate extraction; they do not mutate any
-    /// stream state.
-    fn record_snapshot(&self, outcome: &EstimateOutcome) {
+    /// be enabled) from the per-lane results `finalize` already computed.
+    fn record_snapshot(
+        &self,
+        outcome: &EstimateOutcome,
+        lanes: &[(OracleOutput, OracleDiagnostics)],
+    ) {
         let rec = &self.rec;
         self.record_ingest("estimate", "ingest");
         if let Some(t) = &self.trivial {
@@ -893,8 +903,7 @@ impl MaxCoverEstimator {
                 ],
             );
         }
-        for (i, lane) in self.lanes.iter().enumerate() {
-            let out = lane.oracle.finalize();
+        for (i, (lane, (out, estimates))) in self.lanes.iter().zip(lanes).enumerate() {
             let qualifying = out.estimate >= lane.z as f64 / (4.0 * self.alpha);
             rec.event(
                 "lane",
@@ -914,7 +923,7 @@ impl MaxCoverEstimator {
                     ),
                 ],
             );
-            lane.oracle.record_snapshot(rec, i);
+            lane.oracle.record_snapshot(rec, i, estimates);
             rec.event(
                 "subroutine",
                 &[

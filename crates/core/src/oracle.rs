@@ -51,8 +51,8 @@ impl SubroutineKind {
 }
 
 /// Per-subroutine estimates at finalize time: `None` means infeasible
-/// (or, for [`OracleDiagnostics::small_set`], inactive). Returned by
-/// [`Oracle::diagnostics`] and surfaced in the CLI metrics output.
+/// (or, for [`OracleDiagnostics::small_set`], inactive). Passed to
+/// [`Oracle::record_snapshot`], which emits them as "subroutine" events.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OracleDiagnostics {
     /// Case I (multi-layered set sampling) estimate.
@@ -62,16 +62,6 @@ pub struct OracleDiagnostics {
     /// Case III (set + element sampling) estimate; `None` also when the
     /// subroutine is disabled (`sα ≥ 2k`).
     pub small_set: Option<f64>,
-}
-
-impl OracleDiagnostics {
-    /// The best feasible subroutine estimate, if any fired.
-    pub fn best(&self) -> Option<f64> {
-        [self.large_common, self.large_set, self.small_set]
-            .into_iter()
-            .flatten()
-            .reduce(f64::max)
-    }
 }
 
 /// The oracle's answer.
@@ -184,6 +174,14 @@ impl Oracle {
     /// Finalize after the pass: the max of the subroutine estimates,
     /// clamped to the universe size.
     pub fn finalize(&self) -> OracleOutput {
+        self.finalize_with_estimates().0
+    }
+
+    /// [`Oracle::finalize`] together with each subroutine's own estimate,
+    /// from a single finalize of each subroutine (SmallSet's greedy is
+    /// the costliest step of an answer, so a traced finalize must not
+    /// repeat it for its snapshot).
+    pub(crate) fn finalize_with_estimates(&self) -> (OracleOutput, OracleDiagnostics) {
         let mut out = OracleOutput {
             estimate: 0.0,
             winner: None,
@@ -197,6 +195,12 @@ impl Oracle {
                 self.small_set.as_ref().and_then(SmallSet::finalize),
             ),
         ];
+        let [lc, ls, ss] = candidates.each_ref().map(|(_, c)| c.as_ref().map(|(v, _)| *v));
+        let estimates = OracleDiagnostics {
+            large_common: lc,
+            large_set: ls,
+            small_set: ss,
+        };
         for (kind, cand) in candidates {
             if let Some((est, witness)) = cand {
                 let est = est.min(self.u as f64);
@@ -209,7 +213,7 @@ impl Oracle {
                 }
             }
         }
-        out
+        (out, estimates)
     }
 
     /// Access to the case-I subroutine (reporting expansion).
@@ -227,32 +231,17 @@ impl Oracle {
         self.small_set.as_ref()
     }
 
-    /// Per-subroutine telemetry: each subroutine's estimate (`None` =
-    /// infeasible / inactive). Used by the ablation experiments, the
-    /// CLI metrics output, and finalize-time snapshots.
-    pub fn diagnostics(&self) -> OracleDiagnostics {
-        OracleDiagnostics {
-            large_common: self.large_common.finalize().map(|(v, _)| v),
-            large_set: self.large_set.finalize().map(|(v, _)| v),
-            small_set: self
-                .small_set
-                .as_ref()
-                .and_then(SmallSet::finalize)
-                .map(|(v, _)| v),
-        }
-    }
-
     /// Emit the finalize-time observability snapshot for this oracle:
     /// one "subroutine" event (estimate + resident space) per active
     /// subroutine and one "sketch" event with its aggregated sketch
-    /// telemetry, all tagged with the owning estimator lane. Infeasible
+    /// telemetry, all tagged with the owning estimator lane. `d` holds
+    /// the subroutine estimates of this oracle's finalize. Infeasible
     /// estimates are recorded as JSON `null` (NaN sentinel). No-op when
     /// `rec` is disabled.
-    pub fn record_snapshot(&self, rec: &Recorder, lane: usize) {
+    pub fn record_snapshot(&self, rec: &Recorder, lane: usize, d: &OracleDiagnostics) {
         if !rec.is_enabled() {
             return;
         }
-        let d = self.diagnostics();
         let subs: [(&str, Option<f64>, Option<usize>); 4] = [
             // The oracle's 1-word handle on the shared set-fingerprint
             // base (the coefficients are attributed to their owner, the
@@ -493,17 +482,27 @@ mod tests {
     }
 
     #[test]
-    fn diagnostics_mirror_finalize() {
+    fn finalize_is_the_clamped_max_of_its_subroutine_estimates() {
         let system = common_heavy(800, 300, 5);
         let params = Params::practical(300, 800, 10, 4.0);
         let mut oracle = Oracle::new(800, &params, false, 3);
         for e in edge_stream(&system, ArrivalOrder::Shuffled(2)) {
             oracle.observe(e);
         }
-        let d = oracle.diagnostics();
-        let best = d.best().unwrap_or(0.0).min(800.0);
-        let out = oracle.finalize();
-        assert!((out.estimate - best).abs() < 1e-9, "max of diagnostics must match");
+        let (out, d) = oracle.finalize_with_estimates();
+        let direct = OracleDiagnostics {
+            large_common: oracle.large_common().finalize().map(|(v, _)| v),
+            large_set: oracle.large_set().finalize().map(|(v, _)| v),
+            small_set: oracle.small_set().and_then(SmallSet::finalize).map(|(v, _)| v),
+        };
+        assert_eq!(d, direct, "estimates must be the subroutines' own");
+        let best = [d.large_common, d.large_set, d.small_set]
+            .into_iter()
+            .flatten()
+            .fold(0.0, f64::max)
+            .min(800.0);
+        assert!((out.estimate - best).abs() < 1e-9, "max of the estimates must match");
+        assert_eq!(out.estimate.to_bits(), oracle.finalize().estimate.to_bits());
     }
 
     #[test]
