@@ -500,9 +500,10 @@ impl MaxCoverEstimator {
                 lane.oracle.observe_fp(reduced, fp_set);
             }
         }
-        // Heartbeat cadence: edge count only, no clocks. Off (0) means
-        // one branch of overhead per edge.
-        if self.heartbeat_every != 0 && self.edges_seen.is_multiple_of(self.heartbeat_every) {
+        // Heartbeat cadence: edge count only, no clocks — the batched
+        // rule for a batch of one edge. Off (0) means one branch of
+        // overhead per edge.
+        if telemetry::crosses_beat(self.edges_seen - 1, 1, self.heartbeat_every) {
             self.capture_heartbeat();
         }
     }

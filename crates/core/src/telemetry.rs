@@ -191,9 +191,12 @@ impl StageTimes {
 }
 
 /// Whether ingesting `added` more edges after `seen_before` crosses a
-/// multiple of `every` (the batched-path cadence test: capture at the
-/// first observation boundary at or after each multiple).
-pub(crate) fn crosses_beat(seen_before: u64, added: u64, every: u64) -> bool {
+/// multiple of `every` (`every = 0` never does). This is the one
+/// cadence rule for heartbeats and worker snapshots: capture at the
+/// first observation boundary at or after each multiple, so the
+/// cadence is a pure function of the chunking, never of the clock.
+#[inline]
+pub fn crosses_beat(seen_before: u64, added: u64, every: u64) -> bool {
     every > 0 && added > 0 && (seen_before + added) / every > seen_before / every
 }
 

@@ -71,7 +71,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use kcov_baselines::{greedy_max_cover, max_cover_exact};
-use kcov_core::{EstimatorConfig, MaxCoverEstimator, MaxCoverReporter, ParamMode};
+use kcov_core::{crosses_beat, EstimatorConfig, MaxCoverEstimator, MaxCoverReporter, ParamMode};
 use kcov_obs::json::Json;
 use kcov_obs::{render_folded, render_ledger_report, Histogram, LedgerRow, Rank, Recorder};
 use kcov_sketch::{SpaceUsage, WireEncode};
@@ -663,13 +663,6 @@ fn cmd_estimate(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<
     outln!(out, "space (words) = {}", est.space_words());
     outln!(out, "stream edges  = {}", edges.len());
     obs.emit(&rec, out)
-}
-
-/// Mirror of `telemetry::crosses_beat`: true when `[seen_before,
-/// seen_before + added]` crosses a multiple of `every` — the snapshot
-/// cadence is a pure function of the chunking, never of the clock.
-fn crosses_beat(seen_before: u64, added: u64, every: u64) -> bool {
-    every > 0 && added > 0 && (seen_before + added) / every > seen_before / every
 }
 
 /// Serialize a replica to `path` atomically (tmp + rename), so a
