@@ -1,5 +1,5 @@
 //! `γ`-contributing class detection — Theorem 2.11, after Indyk & Woodruff
-//! (reference [29] of the paper).
+//! (reference \[29\] of the paper).
 //!
 //! Partition the coordinates of `a⃗` into dyadic frequency classes
 //! `R_t = { j : 2^{t−1} < a⃗[j] ≤ 2^t }` (Definition 2.7). A class is

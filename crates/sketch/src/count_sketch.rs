@@ -1,4 +1,4 @@
-//! CountSketch — Charikar, Chen & Farach-Colton (reference [18] of the
+//! CountSketch — Charikar, Chen & Farach-Colton (reference \[18\] of the
 //! paper), the linear sketch behind `F2`/`L2` heavy hitters
 //! (Theorem 2.10).
 //!
