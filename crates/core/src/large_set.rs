@@ -234,8 +234,10 @@ impl LargeSet {
         }
     }
 
-    /// One repetition's view of one edge (shared by the per-edge and
-    /// batched paths so they stay state-identical by construction).
+    /// One repetition's view of one edge, for the per-edge path only.
+    /// [`LargeSet::observe_fp_batch`] restates these decisions over
+    /// columns; the two stay state-identical because they test the same
+    /// hash values in arrival order, which `batch_determinism` checks.
     /// `fp_set` is the shared set fingerprint `set_base(edge.set)`; the
     /// element hash runs first so most edges exit after one degree-8
     /// evaluation and a compare.

@@ -143,8 +143,10 @@ impl SmallSet {
         }
     }
 
-    /// One repetition's view of one edge (shared by the per-edge and
-    /// batched paths so they stay state-identical by construction).
+    /// One repetition's view of one edge, for the per-edge path only.
+    /// [`SmallSet::observe_fp_batch`] restates these decisions over
+    /// columns; the two stay state-identical because they test the same
+    /// hash values in arrival order, which `batch_determinism` checks.
     /// `fp_set` is the shared set fingerprint `set_base(edge.set)`.
     #[inline]
     fn rep_observe(rep: &mut Rep, m_keep: u64, edge_cap: usize, edge: Edge, fp_set: u64) {
