@@ -14,6 +14,7 @@
 use std::collections::BTreeSet;
 
 use kcov_hash::{pairwise, KWise, RangeHash, MERSENNE_P};
+use kcov_obs::LedgerNode;
 use kcov_sketch::SpaceUsage;
 use kcov_stream::Edge;
 
@@ -157,8 +158,9 @@ impl SketchedGreedy {
 }
 
 impl SpaceUsage for SketchedGreedy {
-    fn space_words(&self) -> usize {
-        self.per_set.iter().map(|b| b.vals.len()).sum::<usize>() + self.hash.space_words()
+    fn space_ledger(&self, node: &mut LedgerNode) {
+        node.words += (self.per_set.iter().map(|b| b.vals.len()).sum::<usize>()
+            + self.hash.space_words()) as u64;
     }
 }
 

@@ -15,6 +15,7 @@
 use std::collections::HashSet;
 
 use kcov_hash::{pairwise, RangeHash, SeedSequence, MERSENNE_P};
+use kcov_obs::LedgerNode;
 use kcov_sketch::SpaceUsage;
 use kcov_stream::{Edge, SetSystem};
 
@@ -202,9 +203,10 @@ impl MvEdgeArrival {
 }
 
 impl SpaceUsage for MvEdgeArrival {
-    fn space_words(&self) -> usize {
+    fn space_ledger(&self, node: &mut LedgerNode) {
         // Each stored edge is one word (two u32s); plus the shared hash.
-        self.lanes.iter().map(|l| l.edges.len()).sum::<usize>() + self.hash.space_words()
+        node.words += (self.lanes.iter().map(|l| l.edges.len()).sum::<usize>()
+            + self.hash.space_words()) as u64;
     }
 }
 

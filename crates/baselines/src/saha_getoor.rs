@@ -12,6 +12,7 @@
 
 use std::collections::HashMap;
 
+use kcov_obs::LedgerNode;
 use kcov_sketch::SpaceUsage;
 use kcov_stream::SetSystem;
 
@@ -120,8 +121,9 @@ impl SwapStreaming {
 }
 
 impl SpaceUsage for SwapStreaming {
-    fn space_words(&self) -> usize {
-        self.solution.iter().map(|(_, s)| s.len() + 1).sum::<usize>() + 2 * self.covered.len()
+    fn space_ledger(&self, node: &mut LedgerNode) {
+        node.words += (self.solution.iter().map(|(_, s)| s.len() + 1).sum::<usize>()
+            + 2 * self.covered.len()) as u64;
     }
 }
 

@@ -13,6 +13,7 @@
 
 use std::collections::HashSet;
 
+use kcov_obs::LedgerNode;
 use kcov_sketch::SpaceUsage;
 use kcov_stream::SetSystem;
 
@@ -127,11 +128,12 @@ impl SieveStreaming {
 }
 
 impl SpaceUsage for SieveStreaming {
-    fn space_words(&self) -> usize {
-        self.states
+    fn space_ledger(&self, node: &mut LedgerNode) {
+        node.words += self
+            .states
             .iter()
-            .map(|st| st.covered.len() + st.chosen.len() + 1)
-            .sum()
+            .map(|st| (st.covered.len() + st.chosen.len() + 1) as u64)
+            .sum::<u64>();
     }
 }
 

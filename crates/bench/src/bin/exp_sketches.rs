@@ -5,7 +5,7 @@
 //! cargo run --release -p kcov-bench --bin exp_sketches
 //! ```
 
-use kcov_bench::{fmt, print_table};
+use kcov_bench::{fmt, print_table, print_verdict};
 use kcov_sketch::{ContributingConfig, F2Contributing, F2HeavyHitter, L0Estimator, SpaceUsage};
 
 fn main() {
@@ -13,6 +13,7 @@ fn main() {
 
     // L0 estimation: error vs space (Theorem 2.12 wants (1±1/2), Õ(1)).
     let mut rows = Vec::new();
+    let mut l0 = Vec::new();
     for k in [16usize, 32, 64, 128, 256] {
         let mut max_rel = 0.0f64;
         let mut space = 0usize;
@@ -26,6 +27,7 @@ fn main() {
             max_rel = max_rel.max(rel);
             space = space.max(est.space_words());
         }
+        l0.push((k, max_rel));
         rows.push(vec![
             k.to_string(),
             space.to_string(),
@@ -41,6 +43,7 @@ fn main() {
 
     // F2 heavy hitters: recall of planted heavy items (Theorem 2.10).
     let mut rows = Vec::new();
+    let mut recall = Vec::new();
     for phi in [0.2f64, 0.05, 0.01] {
         let mut recall_hits = 0usize;
         let mut recall_total = 0usize;
@@ -76,6 +79,8 @@ fn main() {
             }
             space = space.max(hh.space_words());
         }
+        let label = format!("phi {} ({recall_hits}/{recall_total})", fmt(phi));
+        recall.push((label, recall_hits == recall_total));
         rows.push(vec![
             fmt(phi),
             format!("{recall_hits}/{recall_total}"),
@@ -92,6 +97,7 @@ fn main() {
     // F2-Contributing: detection of a planted contributing class of
     // medium coordinates (not individually heavy) — Theorem 2.11.
     let mut rows = Vec::new();
+    let mut detected = Vec::new();
     for class_size in [8u64, 64, 256] {
         let mut found = 0usize;
         let trials = 10u64;
@@ -103,8 +109,7 @@ fn main() {
                 seed,
             );
             // class: class_size coords of frequency 64; noise: 3000 of 1.
-            for round in 0..64u64 {
-                let _ = round;
+            for _ in 0..64u64 {
                 for c in 0..class_size {
                     fc.insert(500_000 + c);
                 }
@@ -120,6 +125,8 @@ fn main() {
                 found += 1;
             }
         }
+        let label = format!("class size {class_size} ({found}/{trials})");
+        detected.push((label, found as u64 == trials));
         rows.push(vec![
             class_size.to_string(),
             format!("{found}/{trials}"),
@@ -130,6 +137,15 @@ fn main() {
         &["class size", "detected"],
         &rows,
     );
-    println!("\nshape check: errors track 1/sqrt(space); recall complete; classes of");
-    println!("all sizes detected via level sampling.");
+    println!();
+    let bound = l0
+        .iter()
+        .map(|&(k, e)| (format!("bottom-k {k} ({})", fmt(e)), e <= 1.0 / (k as f64).sqrt()));
+    print_verdict("L0 max rel err <= 1/sqrt(k) on every row", bound);
+    let falls = l0.windows(2).map(|w| {
+        (format!("bottom-k {} ({:.4} -> {:.4})", w[1].0, w[0].1, w[1].1), w[1].1 <= w[0].1)
+    });
+    print_verdict("L0 max rel err falls as space grows", falls);
+    print_verdict("heavy-hitter recall complete at every phi", recall);
+    print_verdict("planted classes of every size detected", detected);
 }

@@ -148,7 +148,7 @@ fn main() {
             // Coarse guess grid (see kcov_bench::coarse_config docs).
             let config = kcov_bench::coarse_config(21, n, 1);
             let mut alg = MaxCoverReporter::new(n, m, k, alpha, &config);
-            alg.ingest(&edges, 1, None);
+            alg.ingest(&edges, None);
             let r = alg.finalize();
             let chosen: Vec<usize> = r.sets.iter().map(|&s| s as usize).collect();
             rows.push(vec![

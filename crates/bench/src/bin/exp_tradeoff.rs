@@ -24,7 +24,7 @@ fn measure(n: usize, m: usize, k: usize, alpha: f64, seed: u64) -> (f64, usize, 
     let config = kcov_bench::coarse_config(seed ^ 0xabc, n, 1);
     let mut est = MaxCoverEstimator::new(n, m, k, alpha, &config);
     let t0 = std::time::Instant::now();
-    est.ingest(&edges, 1, None);
+    est.ingest(&edges, None);
     let out = est.finalize();
     let secs = t0.elapsed().as_secs_f64();
     (out.estimate, est.space_words(), secs)

@@ -163,7 +163,7 @@ pub fn hot_path_breakdown(
     let rec = kcov_obs::Recorder::enabled();
     est.attach_recorder(&rec);
     let t = Instant::now();
-    est.ingest(edges, 1, Some(batch));
+    est.ingest(edges, Some(batch));
     let total_ns = t.elapsed().as_nanos() as u64;
     est.attach_recorder(&kcov_obs::Recorder::disabled());
     let (hash, reject, update) = ledger_phases(&est.space_ledger_tree());
@@ -199,6 +199,18 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("{}", "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
     for row in rows {
         println!("{}", fmt_row(row));
+    }
+}
+
+/// Print one shape-check verdict evaluated on the rows just printed,
+/// given as `(row label, claim holds on the row)`: `holds`, or the
+/// labels of the rows that break the claim.
+pub fn print_verdict(claim: &str, rows: impl IntoIterator<Item = (String, bool)>) {
+    let broken: Vec<String> = rows.into_iter().filter(|r| !r.1).map(|r| r.0).collect();
+    if broken.is_empty() {
+        println!("shape check: {claim}: holds");
+    } else {
+        println!("shape check: {claim}: broken at {}", broken.join("; "));
     }
 }
 

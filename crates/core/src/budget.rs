@@ -60,12 +60,8 @@ fn dynamic_allowance(
     if !params.small_set_active() {
         return 0;
     }
-    let gamma_lanes = (4.0 * params.s_alpha * params.eta)
-        .max(2.0)
-        .log2()
-        .ceil() as usize
-        + 1;
-    let per_small_set = gamma_lanes * params.small_set_reps.max(1) * params.small_set_edge_cap;
+    let per_small_set =
+        params.small_set_gammas() * params.small_set_reps.max(1) * params.small_set_edge_cap;
     est.num_lanes() * per_small_set
 }
 

@@ -190,11 +190,12 @@ impl Lane {
         self.oracle.merge(&other.oracle);
         self.times.merge(&other.times);
     }
+}
 
-    /// Attribute this lane under `node`: the `reducer` subtree, then the
-    /// oracle's `set_base` and subroutine subtrees. Each half takes its
-    /// own measured bracket, split by heat over its own leaves
-    /// ([`LedgerNode::apportion_ns`]).
+impl SpaceUsage for Lane {
+    /// The `reducer` subtree, then the oracle's `set_base` and
+    /// subroutine subtrees. Each half takes its own measured bracket,
+    /// split by heat over its own leaves ([`LedgerNode::apportion_ns`]).
     fn space_ledger(&self, node: &mut LedgerNode) {
         let r = node.child("reducer");
         self.reducer.space_ledger(r);
@@ -284,14 +285,10 @@ impl TrivialState {
         let lo = best * self.k;
         (lo..(lo + self.k).min(m)).map(|s| s as u32).collect()
     }
+}
 
-    fn space_words(&self) -> usize {
-        self.total.space_words()
-            + self.groups.iter().map(SpaceUsage::space_words).sum::<usize>()
-    }
-
-    /// Ledger attribution mirroring [`TrivialState::space_words`]: the
-    /// whole-family `total` sketch and the Observation-2.4 `groups`
+impl SpaceUsage for TrivialState {
+    /// The whole-family `total` sketch and the Observation-2.4 `groups`
     /// family (aggregated into one shared child, like every
     /// variable-count structure in the stack).
     fn space_ledger(&self, node: &mut LedgerNode) {
@@ -331,6 +328,10 @@ pub struct MaxCoverEstimator {
     k: usize,
     alpha: f64,
     threads: usize,
+    /// [`EstimatorConfig::shards`], read by [`MaxCoverEstimator::ingest`].
+    /// Process-local like the recorder: never serialized, so a decoded
+    /// replica ingests serially.
+    shards: usize,
     trivial: Option<TrivialState>,
     /// The hash-once front end: one set and one element fingerprint per
     /// raw edge, shared by every lane (`None` in the trivial regime).
@@ -460,6 +461,7 @@ impl MaxCoverEstimator {
             k,
             alpha,
             threads: config.threads.max(1),
+            shards: config.shards.max(1),
             trivial,
             fps,
             block: FingerprintBlock::default(),
@@ -631,7 +633,7 @@ impl MaxCoverEstimator {
                 ls_fill: ls.fill,
                 ss_fill: ss.fill,
                 evictions: agg.evictions,
-                space_words: (lane.oracle.space_words() + lane.reducer.space_words()) as u64,
+                space_words: lane.space_words() as u64,
                 ns: lane.times.ingest_ns,
             });
             total.absorb(agg);
@@ -698,16 +700,16 @@ impl MaxCoverEstimator {
     ///
     /// `batch = None` observes edge by edge; `Some(b)` feeds the batched
     /// engine in chunks of `b` (bit-identical either way). With
-    /// `shards > 1`, the stream is split by [`shard_range`]: replica `i`
-    /// (a clone of `self`, sharing every seed) feeds range `i` on a
-    /// scoped thread by the same batch rule, `self` feeds range 0
-    /// inline, and [`MaxCoverEstimator::fold_shards`] folds the replicas
-    /// back. Only a fresh estimator is the merge identity, so once
+    /// [`EstimatorConfig::shards`] `> 1`, the stream is split by
+    /// [`shard_range`]: replica `i` (a clone of `self`, sharing every
+    /// seed) feeds range `i` on a scoped thread by the same batch rule,
+    /// `self` feeds range 0 inline, and
+    /// [`MaxCoverEstimator::fold_shards`] folds the replicas back. Only a fresh estimator is the merge identity, so once
     /// `self` has seen edges the slice is fed serially instead, in the
     /// same chunks: sharding a fed estimator would count its edges once
     /// per replica.
-    pub fn ingest(&mut self, edges: &[Edge], shards: usize, batch: Option<usize>) {
-        let shards = shards.max(1);
+    pub fn ingest(&mut self, edges: &[Edge], batch: Option<usize>) {
+        let shards = self.shards;
         if shards == 1 || edges.is_empty() || self.edges_seen > 0 {
             self.feed(edges, batch);
             return;
@@ -867,40 +869,23 @@ impl MaxCoverEstimator {
     ) {
         let rec = &self.rec;
         self.record_ingest("estimate", "ingest");
-        if let Some(t) = &self.trivial {
+        // The lane-invariant ledger subtrees (the trivial branch, the
+        // hash-once front end, the shared universe mix), each attributed
+        // once at lane 0; lanes count 1-word handles on the shared state.
+        let mut ledger = LedgerNode::new();
+        self.space_ledger(&mut ledger);
+        for (name, node) in ledger.children().filter(|(name, _)| !name.starts_with("lane")) {
+            let estimate = match (name, &self.trivial) {
+                ("trivial", Some(t)) => t.estimate(),
+                _ => f64::NAN,
+            };
             rec.event(
                 "subroutine",
                 &[
                     ("lane", Value::from(0u64)),
-                    ("name", Value::from("trivial")),
-                    ("estimate", Value::from(t.estimate())),
-                    ("space_words", Value::from(t.space_words())),
-                ],
-            );
-        }
-        if let Some(fps) = &self.fps {
-            // The estimator-global hash-once front end, shared by every
-            // lane (lanes count 1-word handles on the shared bases).
-            rec.event(
-                "subroutine",
-                &[
-                    ("lane", Value::from(0u64)),
-                    ("name", Value::from("fingerprints")),
-                    ("estimate", Value::from(f64::NAN)),
-                    ("space_words", Value::from(fps.space_words())),
-                ],
-            );
-        }
-        if let Some(mix) = self.shared_mix() {
-            // The lane-invariant universe-reduction mix, shared by every
-            // lane and attributed once (lanes count 1-word handles).
-            rec.event(
-                "subroutine",
-                &[
-                    ("lane", Value::from(0u64)),
-                    ("name", Value::from("universe")),
-                    ("estimate", Value::from(f64::NAN)),
-                    ("space_words", Value::from(mix.mix_words())),
+                    ("name", Value::from(name)),
+                    ("estimate", Value::from(estimate)),
+                    ("space_words", Value::from(node.total_words())),
                 ],
             );
         }
@@ -918,10 +903,7 @@ impl MaxCoverEstimator {
                         Value::from(out.winner.map_or("none", SubroutineKind::name)),
                     ),
                     ("qualifying", Value::from(qualifying)),
-                    (
-                        "space_words",
-                        Value::from(lane.oracle.space_words() + lane.reducer.space_words()),
-                    ),
+                    ("space_words", Value::from(lane.space_words())),
                 ],
             );
             lane.oracle.record_snapshot(rec, i, estimates);
@@ -955,7 +937,7 @@ impl MaxCoverEstimator {
         rec.incr("lanes.total", self.lanes.len() as u64);
         // Attribution ledger, emitted after every pre-existing event so
         // their sequence numbers are untouched.
-        self.record_ledger("estimator", "estimate", outcome.space_words);
+        self.record_ledger("estimator", "estimate");
     }
 
     /// Emit the buffered heartbeats (tagged `stage`) and the ingestion
@@ -967,25 +949,19 @@ impl MaxCoverEstimator {
 
     /// Emit the attribution ledger under `root`, then its
     /// `time_ledger_meta` event for `stage`. The finalize contract
-    /// (DESIGN.md §13): leaves-only attribution (audited), the exact
-    /// word sum `space_words` — a word the tree misses (or
-    /// double-counts) is a bug, not a rounding artifact — and ns
+    /// (DESIGN.md §13): leaves-only attribution (audited) and ns
     /// conservation: the apportioned total can never exceed the
     /// measured batch wall clock times the worker-thread count, because
     /// every attributed interval nests inside a batch interval and at
-    /// most `threads` lanes overlap.
-    pub(crate) fn record_ledger(&self, root: &str, stage: &str, space_words: usize) {
+    /// most `threads` lanes overlap. The word total needs no check:
+    /// [`SpaceUsage::space_words`] is this tree's sum.
+    pub(crate) fn record_ledger(&self, root: &str, stage: &str) {
         let mut ledger = Ledger::new(root);
         self.space_ledger(&mut ledger.root);
         assert!(
             ledger.audit().is_empty(),
             "{root} ledger schema violations: {:?}",
             ledger.audit()
-        );
-        assert_eq!(
-            ledger.total_words(),
-            space_words as u64,
-            "{root} ledger must attribute every resident word exactly"
         );
         let ns = ledger.total_ns();
         let threads = self.threads.max(1) as u64;
@@ -1007,7 +983,7 @@ impl MaxCoverEstimator {
     }
 
     /// Convenience: run over a finite edge stream through
-    /// [`MaxCoverEstimator::ingest`] with `config.shards` replicas.
+    /// [`MaxCoverEstimator::ingest`].
     /// Every batch size and shard count gives the serial outcome up to
     /// the merge-equivalence contract (bit-identical estimates; resident
     /// space may differ in the heavy-hitter candidate lists — DESIGN.md
@@ -1023,7 +999,7 @@ impl MaxCoverEstimator {
     ) -> EstimateOutcome {
         let mut est = MaxCoverEstimator::new(n, m, k, alpha, config);
         let span = est.rec.span("ingest");
-        est.ingest(edges, config.shards, batch);
+        est.ingest(edges, batch);
         span.finish();
         est.finalize()
     }
@@ -1094,12 +1070,11 @@ impl MaxCoverEstimator {
     /// rooted at `"estimator"` attributing every resident word to a
     /// `lane{i}/subroutine/component` path, with per-component heat
     /// counters and the batch-granular wall time apportioned onto the
-    /// same leaves by that heat (DESIGN.md §13). The finalize invariant
-    /// — Σ leaf words == [`SpaceUsage::space_words`] exactly — holds at
-    /// any point, not just at finalize, because both walk the same
-    /// structures. The `ns` column is recomputed from the merged totals,
-    /// so Σ shard ns == merged ns exactly; it is all-zero when the
-    /// recorder was disabled or ingestion went through the per-edge
+    /// same leaves by that heat (DESIGN.md §13). Its word total is
+    /// [`SpaceUsage::space_words`] by construction: that method sums
+    /// this same walk. The `ns` column is recomputed from the merged
+    /// totals, so Σ shard ns == merged ns exactly; it is all-zero when
+    /// the recorder was disabled or ingestion went through the per-edge
     /// path, which records no time.
     pub fn space_ledger_tree(&self) -> Ledger {
         let mut ledger = Ledger::new("estimator");
@@ -1291,6 +1266,7 @@ impl kcov_sketch::WireEncode for MaxCoverEstimator {
             k,
             alpha,
             threads: threads.max(1),
+            shards: 1,
             trivial,
             fps,
             block: FingerprintBlock::default(),
@@ -1308,19 +1284,6 @@ impl kcov_sketch::WireEncode for MaxCoverEstimator {
 }
 
 impl SpaceUsage for MaxCoverEstimator {
-    fn space_words(&self) -> usize {
-        self.trivial.as_ref().map_or(0, TrivialState::space_words)
-            + self.fps.as_ref().map_or(0, SpaceUsage::space_words)
-            // The shared universe mix, counted once (each lane's reducer
-            // carries a 1-word handle).
-            + self.shared_mix().map_or(0, UniverseReducer::mix_words)
-            + self
-                .lanes
-                .iter()
-                .map(|l| l.oracle.space_words() + l.reducer.space_words())
-                .sum::<usize>()
-    }
-
     /// The root of the attribution tree. Child names deliberately
     /// match the finalize-time `"subroutine"` event names (`trivial`,
     /// `fingerprints`, the shared `universe` mix, per-lane
@@ -1341,6 +1304,7 @@ impl SpaceUsage for MaxCoverEstimator {
             f.apportion_ns(self.times.hash_ns);
         }
         if let Some(mix) = self.shared_mix() {
+            // Counted once; each lane's reducer carries a 1-word handle.
             let u = node.child("universe");
             u.words += mix.mix_words() as u64;
             u.ns += self.times.universe_ns;
@@ -1677,7 +1641,7 @@ mod tests {
         let config = fast_config(17, n);
         let edges = edge_stream(&inst.system, ArrivalOrder::Shuffled(5));
         let mut est = MaxCoverEstimator::new(n, m, 6, 3.0, &config);
-        est.ingest(&edges, 1, Some(256));
+        est.ingest(&edges, Some(256));
         let ledger = est.space_ledger_tree();
         assert!(ledger.audit().is_empty(), "{:?}", ledger.audit());
         assert_eq!(ledger.total_words(), est.space_words() as u64);

@@ -115,10 +115,6 @@ impl kcov_sketch::WireEncode for EdgeFingerprints {
 }
 
 impl SpaceUsage for EdgeFingerprints {
-    fn space_words(&self) -> usize {
-        self.set.space_words() + self.elem.space_words()
-    }
-
     fn space_ledger(&self, node: &mut kcov_obs::LedgerNode) {
         node.leaf("set_base", self.set.space_words());
         node.leaf("elem_base", self.elem.space_words());

@@ -449,29 +449,12 @@ impl kcov_sketch::WireEncode for LargeCommon {
 }
 
 impl SpaceUsage for LargeCommon {
-    fn space_words(&self) -> usize {
-        // 1-word handle on the shared base (coefficients counted once by
-        // their owner).
-        1 + self.set_mix.space_words()
-            + self
-                .lanes
-                .iter()
-                .map(|l| {
-                    l.de.space_words()
-                        + 2
-                        + l.groups.as_ref().map_or(0, |g| {
-                            g.hash.space_words()
-                                + g.counters.iter().map(SpaceUsage::space_words).sum::<usize>()
-                        })
-                })
-                .sum::<usize>()
-    }
-
-    /// Mirrors `space_words` term by term. The β layers aggregate into
-    /// shared `distinct` / `groups` subtrees (layer counts vary with α;
-    /// per-layer children would multiply trace events without changing
-    /// any audit); `overhead` counts the 2-word `(β, buckets)` schedule
-    /// per layer.
+    /// A 1-word `set_base` handle on the shared base (coefficients
+    /// counted once by their owner) and the set mix, then the β layers,
+    /// which aggregate into shared `distinct` / `groups` subtrees (layer
+    /// counts vary with α; per-layer children would multiply trace events
+    /// without changing any audit); `overhead` counts the 2-word
+    /// `(β, buckets)` schedule per layer.
     fn space_ledger(&self, node: &mut kcov_obs::LedgerNode) {
         node.leaf("set_base", 1);
         node.leaf("set_mix", self.set_mix.space_words());

@@ -232,43 +232,33 @@ impl Oracle {
     }
 
     /// Emit the finalize-time observability snapshot for this oracle:
-    /// one "subroutine" event (estimate + resident space) per active
-    /// subroutine and one "sketch" event with its aggregated sketch
-    /// telemetry, all tagged with the owning estimator lane. `d` holds
-    /// the subroutine estimates of this oracle's finalize. Infeasible
-    /// estimates are recorded as JSON `null` (NaN sentinel). No-op when
-    /// `rec` is disabled.
+    /// one "subroutine" event (estimate + resident space) per child of
+    /// its ledger (the `set_base` handle, then each active subroutine)
+    /// and one "sketch" event with its aggregated sketch telemetry, all
+    /// tagged with the owning estimator lane. `d` holds the subroutine
+    /// estimates of this oracle's finalize. Infeasible estimates are
+    /// recorded as JSON `null` (NaN sentinel). No-op when `rec` is
+    /// disabled.
     pub fn record_snapshot(&self, rec: &Recorder, lane: usize, d: &OracleDiagnostics) {
         if !rec.is_enabled() {
             return;
         }
-        let subs: [(&str, Option<f64>, Option<usize>); 4] = [
-            // The oracle's 1-word handle on the shared set-fingerprint
-            // base (the coefficients are attributed to their owner, the
-            // estimator's fingerprint front end; subroutine handles are
-            // accounted by the subroutines themselves).
-            ("set_base", None, Some(1)),
-            (
-                "large_common",
-                d.large_common,
-                Some(self.large_common.space_words()),
-            ),
-            ("large_set", d.large_set, Some(self.large_set.space_words())),
-            (
-                "small_set",
-                d.small_set,
-                self.small_set.as_ref().map(SpaceUsage::space_words),
-            ),
-        ];
-        for (name, est, words) in subs {
-            let Some(words) = words else { continue };
+        let mut ledger = kcov_obs::LedgerNode::new();
+        self.space_ledger(&mut ledger);
+        for (name, node) in ledger.children() {
+            let est = match name {
+                "large_common" => d.large_common,
+                "large_set" => d.large_set,
+                "small_set" => d.small_set,
+                _ => None,
+            };
             rec.event(
                 "subroutine",
                 &[
                     ("lane", Value::from(lane as u64)),
                     ("name", Value::from(name)),
                     ("estimate", Value::from(est.unwrap_or(f64::NAN))),
-                    ("space_words", Value::from(words)),
+                    ("space_words", Value::from(node.total_words())),
                 ],
             );
         }
@@ -375,17 +365,11 @@ impl kcov_sketch::WireEncode for Oracle {
 }
 
 impl SpaceUsage for Oracle {
-    fn space_words(&self) -> usize {
-        // 1-word handle on the shared base; the coefficients are counted
-        // once by their owner.
-        1 + self.large_common.space_words()
-            + self.large_set.space_words()
-            + self.small_set.as_ref().map_or(0, SpaceUsage::space_words)
-    }
-
-    /// Mirrors `space_words` with one child per subroutine — the same
-    /// names the `subroutine` trace events use, so `maxkcov prof` can
-    /// cross-check each subtree against its event's `space_words`.
+    /// A 1-word `set_base` handle on the shared base (the coefficients
+    /// are counted once by their owner) and one child per subroutine —
+    /// the same names the `subroutine` trace events use, so `maxkcov
+    /// prof` can cross-check each subtree against its event's
+    /// `space_words`.
     fn space_ledger(&self, node: &mut kcov_obs::LedgerNode) {
         node.leaf("set_base", 1);
         self.large_common.space_ledger(node.child("large_common"));

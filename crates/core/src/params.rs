@@ -190,6 +190,13 @@ impl Params {
         self.s_alpha < 2.0 * self.k as f64
     }
 
+    /// Number of `SmallSet` γ guesses per repetition: the coverage of
+    /// the surviving k'-cover is `|U|/γ` for some `γ ≤ Θ(sαη)`, so the
+    /// guesses are the powers of two `1, 2, …, 2^⌈log₂ max(4sαη, 2)⌉`.
+    pub fn small_set_gammas(&self) -> usize {
+        (4.0 * self.s_alpha * self.eta).max(2.0).log2().ceil() as usize + 1
+    }
+
     /// Number of supersets `Q = Θ(m·log m / w)` for a given `w`
     /// (Claim 4.9 partitioning). Practical mode uses `2m/w` so supersets
     /// average `w/2` sets.

@@ -83,10 +83,11 @@ impl MaxCoverReporter {
         self.inner.merge(&other.inner);
     }
 
-    /// Feed `edges` per edge or in batches, on `shards` replicas (see
+    /// Feed `edges` per edge or in batches, on
+    /// [`EstimatorConfig::shards`] replicas (see
     /// [`MaxCoverEstimator::ingest`]).
-    pub fn ingest(&mut self, edges: &[Edge], shards: usize, batch: Option<usize>) {
-        self.inner.ingest(edges, shards, batch);
+    pub fn ingest(&mut self, edges: &[Edge], batch: Option<usize>) {
+        self.inner.ingest(edges, batch);
     }
 
     /// Finalize: expand the winning witness into at most `k` sets.
@@ -125,16 +126,12 @@ impl MaxCoverReporter {
         batch: Option<usize>,
     ) -> ReportedCover {
         let mut rep = MaxCoverReporter::new(n, m, k, alpha, config);
-        rep.ingest(edges, config.shards, batch);
+        rep.ingest(edges, batch);
         rep.finalize()
     }
 }
 
 impl SpaceUsage for MaxCoverReporter {
-    fn space_words(&self) -> usize {
-        self.inner.space_words()
-    }
-
     fn space_ledger(&self, node: &mut kcov_obs::LedgerNode) {
         self.inner.space_ledger(node);
     }

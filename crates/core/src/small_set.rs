@@ -105,14 +105,10 @@ impl SmallSet {
         let p_set = (2.0 / params.s_alpha).min(1.0);
         let m_buckets = ((1.0 / p_set).round() as u64).max(1);
         let lmn = ((m.max(2) * u.max(2)) as f64).ln().max(2.0);
-        // γ guesses: the coverage of the surviving k'-cover is |U|/γ for
-        // some γ ≤ Θ(sαη); try powers of two up to that bound.
-        let gamma_max = (4.0 * params.s_alpha * params.eta).max(2.0);
-        let num_gammas = gamma_max.log2().ceil() as u32;
         let mut reps = Vec::new();
         for _ in 0..params.small_set_reps.max(1) {
             let mut lanes = Vec::new();
-            for i in 0..=num_gammas {
+            for i in 0..params.small_set_gammas() {
                 let gamma = (1u64 << i) as f64;
                 // Element sample target Θ̃(γ·k') (Lemma 2.5).
                 let l_target = (2.0 * gamma * k_sub as f64 * lmn).min(u as f64);
@@ -475,24 +471,13 @@ impl kcov_sketch::WireEncode for SmallSet {
 }
 
 impl SpaceUsage for SmallSet {
-    fn space_words(&self) -> usize {
-        // 1-word handle on the shared base (coefficients counted once by
-        // their owner).
-        1 + self.reps
-            .iter()
-            .map(|r| {
-                r.mhash.space_words()
-                    + r.ehash.space_words()
-                    + r.lanes.iter().map(|l| l.edges.len() + 2).sum::<usize>()
-            })
-            .sum::<usize>()
-    }
-
-    /// Mirrors `space_words` term by term; repetitions aggregate into
-    /// shared children. The `edges` heat is *derived from state* (one
-    /// store per resident edge) rather than counted on the hot path —
-    /// stored edges survive the wire round trip, so decoded replicas
-    /// report identical heat for free.
+    /// A 1-word `set_base` handle on the shared base (coefficients
+    /// counted once by their owner), then per repetition its two hashes,
+    /// its stored edges and a 2-word `overhead` per γ lane; repetitions
+    /// aggregate into shared children. The `edges` heat is *derived from
+    /// state* (one store per resident edge) rather than counted on the
+    /// hot path — stored edges survive the wire round trip, so decoded
+    /// replicas report identical heat for free.
     fn space_ledger(&self, node: &mut kcov_obs::LedgerNode) {
         node.leaf("set_base", 1);
         for r in &self.reps {

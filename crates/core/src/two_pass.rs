@@ -93,10 +93,11 @@ impl TwoPassFirst {
         self.estimator.merge(&other.estimator);
     }
 
-    /// Feed pass-1 edges per edge or in batches, on `shards` replicas
-    /// (see [`MaxCoverEstimator::ingest`]).
-    pub fn ingest(&mut self, edges: &[Edge], shards: usize, batch: Option<usize>) {
-        self.estimator.ingest(edges, shards, batch);
+    /// Feed pass-1 edges per edge or in batches, on
+    /// [`EstimatorConfig::shards`] replicas (see
+    /// [`MaxCoverEstimator::ingest`]).
+    pub fn ingest(&mut self, edges: &[Edge], batch: Option<usize>) {
+        self.estimator.ingest(edges, batch);
     }
 
     /// Finish pass 1 and build pass 2 around the guess.
@@ -195,10 +196,11 @@ impl TwoPassSecond {
         self.est.merge(&other.est);
     }
 
-    /// Feed pass-2 edges per edge or in batches, on `shards` replicas
-    /// (see [`MaxCoverEstimator::ingest`]).
-    pub fn ingest(&mut self, edges: &[Edge], shards: usize, batch: Option<usize>) {
-        self.est.ingest(edges, shards, batch);
+    /// Feed pass-2 edges per edge or in batches, on
+    /// [`EstimatorConfig::shards`] replicas (see
+    /// [`MaxCoverEstimator::ingest`]).
+    pub fn ingest(&mut self, edges: &[Edge], batch: Option<usize>) {
+        self.est.ingest(edges, batch);
     }
 
     /// Attach an observability recorder after wire reconstruction (same
@@ -261,7 +263,7 @@ impl TwoPassSecond {
         );
         rec.gauge("twopass.z", self.z as f64);
         rec.gauge("twopass.space_words", cover.space_words as f64);
-        self.est.record_ledger("pass2", "pass2", cover.space_words);
+        self.est.record_ledger("pass2", "pass2");
     }
 }
 
@@ -308,10 +310,6 @@ impl kcov_sketch::WireEncode for TwoPassSecond {
 }
 
 impl SpaceUsage for TwoPassSecond {
-    fn space_words(&self) -> usize {
-        self.est.space_words()
-    }
-
     /// The estimator's tree: `fingerprints`, then per lane `reducer`
     /// plus the oracle subtrees (no shared `universe` leaf, since every
     /// repetition owns its mix).
@@ -321,7 +319,7 @@ impl SpaceUsage for TwoPassSecond {
 }
 
 /// Convenience: run both passes over a replayable stream, each fed
-/// through [`MaxCoverEstimator::ingest`] with `config.shards` replicas.
+/// through [`MaxCoverEstimator::ingest`].
 pub fn run_two_pass(
     n: usize,
     m: usize,
@@ -334,11 +332,11 @@ pub fn run_two_pass(
     let rec = config.recorder.clone();
     let mut first = TwoPassFirst::new(n, m, k, alpha, config);
     let span = rec.span("pass1");
-    first.ingest(edges, config.shards, batch);
+    first.ingest(edges, batch);
     span.finish();
     let mut second = first.into_second_pass();
     let span = rec.span("pass2");
-    second.ingest(edges, config.shards, batch);
+    second.ingest(edges, batch);
     span.finish();
     let cover = second.finalize();
     second.record(&cover);

@@ -203,15 +203,10 @@ impl UniverseReducer {
 }
 
 impl SpaceUsage for UniverseReducer {
-    fn space_words(&self) -> usize {
-        // State behind a shared `Arc` is attributed to its owner (the
-        // estimator front end for the fingerprint base, the estimator's
-        // `universe` leaf for a shared mix); this holder carries 1-word
-        // handles.
-        let mix = if self.shared_mix { 1 } else { self.hash.space_words() };
-        mix + self.base.as_ref().map_or(0, |_| 1) + 1
-    }
-
+    /// State behind a shared `Arc` is attributed to its owner (the
+    /// estimator front end for the fingerprint base, the estimator's
+    /// `universe` leaf for a shared mix); this holder carries 1-word
+    /// handles.
     fn space_ledger(&self, node: &mut kcov_obs::LedgerNode) {
         node.leaf("hash", if self.shared_mix { 1 } else { self.hash.space_words() });
         if self.base.is_some() {

@@ -11,6 +11,7 @@
 //! lower-bound threshold empirically.
 
 use kcov_hash::SeedSequence;
+use kcov_obs::LedgerNode;
 use kcov_sketch::{CountSketch, SpaceUsage};
 use kcov_stream::gen::{dsj_max_cover_instance, DsjInstance, DsjKind};
 use kcov_stream::Edge;
@@ -125,8 +126,8 @@ impl L2Distinguisher {
 }
 
 impl SpaceUsage for L2Distinguisher {
-    fn space_words(&self) -> usize {
-        self.sketch.space_words() + 2 * self.candidates.len()
+    fn space_ledger(&self, node: &mut LedgerNode) {
+        node.words += (self.sketch.space_words() + 2 * self.candidates.len()) as u64;
     }
 }
 

@@ -83,8 +83,8 @@ mod tests {
         seen: std::collections::HashSet<u32>,
     }
     impl SpaceUsage for ExactDistinct {
-        fn space_words(&self) -> usize {
-            self.seen.len()
+        fn space_ledger(&self, node: &mut kcov_obs::LedgerNode) {
+            node.words += self.seen.len() as u64;
         }
     }
     impl StreamingEstimator for ExactDistinct {

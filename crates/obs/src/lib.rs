@@ -724,9 +724,9 @@ impl Histogram {
 /// The schema keeps every attribution on **leaves**: a node either has
 /// children (a pure grouping node with every column zero of its own) or
 /// is a leaf carrying resident words, heat counters and attributed
-/// nanoseconds. Subtree totals are computed on demand, so the finalize
-/// invariant "Σ leaf words == `space_words()`" is checked against
-/// [`LedgerNode::total_words`]. Children keep insertion order (the order
+/// nanoseconds. Subtree totals are computed on demand; a type's
+/// `space_words()` is the [`LedgerNode::total_words`] of its own
+/// `space_ledger` walk. Children keep insertion order (the order
 /// the `space_ledger` implementations attribute them in), which makes
 /// emission deterministic.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

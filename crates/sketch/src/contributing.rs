@@ -402,16 +402,11 @@ impl F2Contributing {
 }
 
 impl SpaceUsage for F2Contributing {
-    fn space_words(&self) -> usize {
-        self.hash.space_words()
-            + self.levels.iter().map(|l| l.hh.space_words() + 2).sum::<usize>()
-    }
-
-    /// Mirrors `space_words` term by term: the shared sampling hash, the
-    /// per-level heavy hitters (aggregated into one `levels` subtree —
-    /// level counts vary with `α`, and per-level children would multiply
-    /// trace events without changing any audit), and a 2-word `overhead`
-    /// leaf per level for the `(modulus, keep)` schedule.
+    /// The shared sampling hash, the per-level heavy hitters (aggregated
+    /// into one `levels` subtree — level counts vary with `α`, and
+    /// per-level children would multiply trace events without changing
+    /// any audit), and a 2-word `overhead` leaf per level for the
+    /// `(modulus, keep)` schedule.
     fn space_ledger(&self, node: &mut LedgerNode) {
         node.leaf("hash", self.hash.space_words());
         let levels = node.child("levels");
@@ -596,12 +591,12 @@ mod tests {
     }
 
     #[test]
-    fn ledger_mirrors_space_words_and_restores_heat() {
+    fn ledger_counts_words_and_restores_heat() {
         let mut fc = F2Contributing::new(ContributingConfig::new(0.25, 64), 1000, 1000, 19);
         feed(&mut fc, &[(4, 128), (9, 40)]);
         let mut node = LedgerNode::new();
         fc.space_ledger(&mut node);
-        assert_eq!(node.total_words(), fc.space_words() as u64);
+        assert_eq!(node.total_words(), 7774);
         assert_eq!(node.get("hash").unwrap().words, fc.sampling_hash().space_words() as u64);
         assert_eq!(node.get("overhead").unwrap().words, 2 * fc.num_levels() as u64);
         // Level 0 is unsampled: its CountSketch saw every update, so the

@@ -9,38 +9,30 @@
 //! constant per-object overhead (a handful of lengths and parameters),
 //! matching how space is counted in the streaming literature.
 //!
-//! [`SpaceUsage::space_ledger`] refines the scalar total into an
-//! attribution tree ([`LedgerNode`]): every implementation mirrors its
-//! own `space_words` arithmetic term by term (explicit `overhead`
-//! leaves for the literal constants), so the ledger's leaf sum equals
-//! `space_words()` **exactly** — the finalize invariant the estimator
-//! asserts and `maxkcov prof` re-audits from traces.
+//! Each type counts its words once, in [`SpaceUsage::space_ledger`]: an
+//! attribution tree ([`LedgerNode`]) with explicit `overhead` leaves for
+//! the literal constants. [`SpaceUsage::space_words`] is the sum of that
+//! tree, so the ledger's leaf sum equals the reported total by
+//! construction; the absolute counts are pinned by the workspace's
+//! storage and two-pass tables.
 
 use kcov_obs::LedgerNode;
 
 /// Number of resident 64-bit words of algorithmic state.
 pub trait SpaceUsage {
-    /// Current space in 64-bit words.
-    fn space_words(&self) -> usize;
-
-    /// Current space in bytes (8 × words).
-    fn space_bytes(&self) -> usize {
-        self.space_words() * 8
-    }
-
     /// Attribute this object's resident words (and, where tracked, its
-    /// update heat and measured ingest time) into `node`. The default
-    /// treats the object as one opaque leaf; structured implementations
-    /// add component children instead and must keep Σ attributed words
-    /// == `space_words()`.
-    fn space_ledger(&self, node: &mut LedgerNode) {
-        node.words += self.space_words() as u64;
-    }
-}
+    /// update heat and measured ingest time) into `node`. Structured
+    /// types add one child per component; a type without structure adds
+    /// its words to `node.words`.
+    fn space_ledger(&self, node: &mut LedgerNode);
 
-/// Sum the space of a slice of accountable components.
-pub fn total_words<T: SpaceUsage>(items: &[T]) -> usize {
-    items.iter().map(SpaceUsage::space_words).sum()
+    /// Current space in 64-bit words: the word total of a fresh
+    /// [`SpaceUsage::space_ledger`] walk.
+    fn space_words(&self) -> usize {
+        let mut node = LedgerNode::new();
+        self.space_ledger(&mut node);
+        node.total_words() as usize
+    }
 }
 
 #[cfg(test)]
@@ -49,35 +41,32 @@ mod tests {
 
     struct Fixed(usize);
     impl SpaceUsage for Fixed {
-        fn space_words(&self) -> usize {
-            self.0
+        fn space_ledger(&self, node: &mut LedgerNode) {
+            node.words += self.0 as u64;
+        }
+    }
+
+    struct Pair(Fixed, Fixed);
+    impl SpaceUsage for Pair {
+        fn space_ledger(&self, node: &mut LedgerNode) {
+            self.0.space_ledger(node.child("a"));
+            self.1.space_ledger(node.child("b"));
+            node.leaf("overhead", 1);
         }
     }
 
     #[test]
-    fn bytes_are_eight_times_words() {
-        assert_eq!(Fixed(10).space_bytes(), 80);
+    fn space_words_sums_the_ledger_tree() {
+        assert_eq!(Fixed(7).space_words(), 7);
+        assert_eq!(Pair(Fixed(7), Fixed(3)).space_words(), 11);
     }
 
     #[test]
-    fn totals_sum() {
-        let items = [Fixed(1), Fixed(2), Fixed(3)];
-        assert_eq!(total_words(&items), 6);
-    }
-
-    #[test]
-    fn empty_total_is_zero() {
-        let items: [Fixed; 0] = [];
-        assert_eq!(total_words(&items), 0);
-    }
-
-    #[test]
-    fn default_ledger_is_one_opaque_leaf() {
+    fn a_leaf_ledger_accumulates_into_its_node() {
         let mut node = LedgerNode::new();
         Fixed(7).space_ledger(&mut node);
         Fixed(3).space_ledger(&mut node);
         assert_eq!(node.words, 10);
         assert!(node.is_leaf());
-        assert_eq!(node.total_words(), Fixed(7).space_words() as u64 + 3);
     }
 }

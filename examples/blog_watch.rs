@@ -49,7 +49,7 @@ fn main() {
     let alpha = 4.0;
     let config = EstimatorConfig::practical(3);
     let mut reporter = MaxCoverReporter::new(topics, blogs, k, alpha, &config);
-    reporter.ingest(&stream, 1, None);
+    reporter.ingest(&stream, None);
     let cover = reporter.finalize();
 
     // Offline materialization for ground truth + the set-arrival

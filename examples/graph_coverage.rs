@@ -55,7 +55,7 @@ fn main() {
     let alpha = 4.0;
     let config = EstimatorConfig::practical(5);
     let mut reporter = MaxCoverReporter::new(vertices, vertices, k, alpha, &config);
-    reporter.ingest(&stream, 1, None);
+    reporter.ingest(&stream, None);
     let cover = reporter.finalize();
 
     // Offline comparison.

@@ -36,7 +36,7 @@ fn main() {
     let alpha = 4.0;
     let config = EstimatorConfig::practical(42).with_threads(2);
     let mut estimator = MaxCoverEstimator::new(n, m, k, alpha, &config);
-    estimator.ingest(&edges, 1, Some(4096));
+    estimator.ingest(&edges, Some(4096));
     let out = estimator.finalize();
     println!(
         "\nestimate (alpha = {alpha}): {:.0}   [true OPT {}, sound: estimate <= OPT]",
@@ -51,7 +51,7 @@ fn main() {
 
     // --- Reporting (Theorem 3.2): Õ(m/α² + k) space. ---
     let mut reporter = MaxCoverReporter::new(n, m, k, alpha, &config);
-    reporter.ingest(&edges, 1, Some(4096));
+    reporter.ingest(&edges, Some(4096));
     let cover = reporter.finalize();
     let chosen: Vec<usize> = cover.sets.iter().map(|&s| s as usize).collect();
     let real = coverage_of(&inst.system, &chosen);

@@ -25,7 +25,7 @@ fn main() {
         let mut est = MaxCoverEstimator::new(n, m, k, alpha, &config);
         // Batched ingestion: bit-identical to per-edge `observe`,
         // cheaper per edge, and lane-parallel across threads.
-        est.ingest(&edges, 1, Some(8192));
+        est.ingest(&edges, Some(8192));
         let out = est.finalize();
         println!(
             "{:>6} {:>14} {:>12.0} {:>12.0} {:>10.3}",

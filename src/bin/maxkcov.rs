@@ -653,7 +653,7 @@ fn cmd_estimate(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<
     let edges = edge_stream(&system, order);
     let mut est = MaxCoverEstimator::new(system.num_elements(), system.num_sets(), k, alpha, &config);
     let span = rec.span("ingest");
-    est.ingest(&edges, config.shards, batch);
+    est.ingest(&edges, batch);
     span.finish();
     let res = est.finalize();
     outln!(out, "estimate      = {:.1}", res.estimate);
@@ -896,7 +896,7 @@ fn cmd_budget(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<()
     let batch = stream_batch(flags, &config)?;
     let edges = edge_stream(&system, order);
     let span = rec.span("ingest");
-    fit.estimator.ingest(&edges, config.shards, batch);
+    fit.estimator.ingest(&edges, batch);
     span.finish();
     let res = fit.estimator.finalize();
     outln!(out, "estimate       = {:.1}", res.estimate);
@@ -1389,8 +1389,8 @@ fn prof_trace(path: &str) -> Result<ProfSource, String> {
 /// `maxkcov prof --input FILE …`: run an ingest with a live recorder
 /// (the batch-granular clocks only run against one; prof never emits
 /// its event stream) and audit the resulting ledger: leaves-only
-/// attribution, the exact word sum against `space_words`, and ns
-/// conservation against the measured ingest wall clock.
+/// attribution and ns conservation against the measured ingest wall
+/// clock.
 fn prof_live(flags: &HashMap<String, String>) -> Result<ProfSource, String> {
     let system = load(flags)?;
     let k = parse_k(req(flags, "k")?)?;
@@ -1403,16 +1403,10 @@ fn prof_live(flags: &HashMap<String, String>) -> Result<ProfSource, String> {
     let mut est =
         MaxCoverEstimator::new(system.num_elements(), system.num_sets(), k, alpha, &config);
     let t0 = Instant::now();
-    est.ingest(&edges, config.shards, Some(batch));
+    est.ingest(&edges, Some(batch));
     let wall_ns = t0.elapsed().as_nanos() as u64;
     let ledger = est.space_ledger_tree();
     let mut violations = ledger.audit();
-    let (words, expected) = (ledger.total_words(), est.space_words() as u64);
-    if words != expected {
-        violations.push(format!(
-            "ledger attributes {words} words but space_words reports {expected}"
-        ));
-    }
     // Every attributed interval nests inside the ingest wall, at most
     // `threads` lanes overlap within a replica, and `shards` replicas
     // run concurrently.
@@ -1548,7 +1542,7 @@ fn cmd_report(flags: &HashMap<String, String>, out: &mut dyn Write) -> Result<()
     let edges = edge_stream(&system, order);
     let mut rep = MaxCoverReporter::new(system.num_elements(), system.num_sets(), k, alpha, &config);
     let span = rec.span("ingest");
-    rep.ingest(&edges, config.shards, batch);
+    rep.ingest(&edges, batch);
     span.finish();
     let cover = rep.finalize();
     let chosen: Vec<usize> = cover.sets.iter().map(|&s| s as usize).collect();

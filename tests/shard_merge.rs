@@ -369,9 +369,9 @@ fn ingest_after_edges_counts_each_edge_once() {
     let edges = edge_stream(&system, ArrivalOrder::Shuffled(5));
     let serial = MaxCoverEstimator::run(n, m, 8, 2.0, &config, &edges, None);
     let (first, second) = edges.split_at(edges.len() / 2);
-    let mut est = MaxCoverEstimator::new(n, m, 8, 2.0, &config);
-    est.ingest(first, 2, Some(256));
-    est.ingest(second, 2, Some(256));
+    let mut est = MaxCoverEstimator::new(n, m, 8, 2.0, &config.clone().with_shards(2));
+    est.ingest(first, Some(256));
+    est.ingest(second, Some(256));
     assert_eq!(est.edges_seen(), edges.len() as u64, "edges counted once");
     assert_outcomes_equivalent(&serial, &est.finalize(), "two sharded halves");
 }
